@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "analysis/program_analysis.hh"
 #include "obs/bench_record.hh"
 #include "obs/metrics.hh"
@@ -217,6 +219,36 @@ BM_Dbscan(benchmark::State &state)
 }
 BENCHMARK(BM_Dbscan);
 
+/** Corpus-shaped clustering input: ~2,000 scaled BFV-like rows of
+ * which ~3% are distinct, with a few rows (trivial helpers) repeated
+ * far more often than the rest. BM_Dbscan above stays all-distinct so
+ * the full quadratic scan keeps its own guard. */
+void
+BM_DbscanDuplicates(benchmark::State &state)
+{
+    support::Rng rng(11);
+    ml::Matrix distinct;
+    for (int i = 0; i < 60; ++i) {
+        ml::Vec row(11);
+        for (auto &v : row)
+            v = static_cast<double>(rng.uniformInt(0, 4)) / 4.0;
+        distinct.push_back(std::move(row));
+    }
+    ml::Matrix points = distinct;
+    while (points.size() < 2000) {
+        const double u = rng.uniformReal();
+        points.push_back(distinct[static_cast<std::size_t>(
+            u * u * u * static_cast<double>(distinct.size()))]);
+    }
+    rng.shuffle(points);
+    const ml::DbscanConfig config{0.35, 3, ml::Metric::Euclidean};
+    for (auto _ : state) {
+        auto clusters = ml::dbscan(points, config);
+        benchmark::DoNotOptimize(clusters);
+    }
+}
+BENCHMARK(BM_DbscanDuplicates);
+
 } // namespace
 
 int
@@ -270,6 +302,16 @@ main(int argc, char **argv)
     addKernel("kernel_reachdef", "kernel.reachdef");
     addKernel("kernel_cluster", "kernel.cluster");
     addKernel("kernel_rank", "kernel.rank");
+    // Work counts of the clustering kernel. Unlike the span times they
+    // depend only on the input, not on the machine.
+    for (const char *count : {"rows", "distinct_rows", "distance_evals"}) {
+        const auto it = snapshot.counters.find(
+            std::string("kernel.cluster.") + count);
+        record.add(std::string("kernel_cluster_") + count,
+                   it == snapshot.counters.end()
+                       ? 0.0
+                       : static_cast<double>(it->second));
+    }
     record.write();
     return 0;
 }

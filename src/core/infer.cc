@@ -171,6 +171,11 @@ inferIts(const BehaviorRepr &repr, const InferConfig &config)
                     classes.push_back({i});
             }
         }
+        if (classes.empty()) {
+            result.error =
+                "no behavior classes after dropping DBSCAN noise";
+            return result;
+        }
 
         // Eq. (1): class complexity = mean member complexity over the
         // normalized bb/caller/lib/anchor dimensions.

@@ -1,7 +1,12 @@
 #include "dbscan.hh"
 
 #include <cmath>
+#include <cstring>
 #include <deque>
+#include <unordered_map>
+
+#include "obs/metrics.hh"
+#include "support/strings.hh"
 
 namespace fits::ml {
 
@@ -44,14 +49,80 @@ DbscanResult::noiseCount() const
 namespace {
 
 /**
- * Pairwise-distance scanner over a flattened copy of the points.
+ * The rows DBSCAN actually scans: one entry per group of duplicate
+ * rows, in first-occurrence order, weighted by the group's size.
  *
- * DBSCAN's cost is regionQuery: n scans of all n points. The generic
- * path pays a `distance()` dispatch, two `Vec` indirections, and (for
- * cosine/Pearson) redundant per-row norm/mean recomputation on every
- * pair. This scanner flattens the matrix into one contiguous buffer,
- * hoists the metric dispatch out of the scan, and precomputes the
- * per-row invariants (norms for cosine, means for Pearson) once.
+ * Rows merge only when their bits are identical (so every per-pair
+ * distance to them is bit-identical too) and the row is its own
+ * eps-neighbour. The second condition keeps the brute-force semantics
+ * for rows that are not: an all-zero row under Cosine or Pearson has
+ * self-distance 1 and a NaN row compares false, so in the brute-force
+ * scan such duplicates are not each other's neighbours and may end up
+ * in different clusters. They stay separate weight-1 entries.
+ */
+struct WeightedRows
+{
+    std::vector<std::size_t> rowOf;   ///< entry -> first row index
+    std::vector<std::size_t> weight;  ///< entry -> duplicate count
+    std::vector<std::size_t> entryOf; ///< row -> entry
+
+    WeightedRows(const Matrix &points, const DbscanConfig &config)
+    {
+        entryOf.reserve(points.size());
+        // Hash -> entry of the first self-neighbour row with that
+        // hash. A collision between different rows just leaves the
+        // later row unmerged, which is always exact.
+        std::unordered_map<std::uint64_t, std::size_t> byHash;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            const Vec &row = points[i];
+            const std::size_t bytes = row.size() * sizeof(double);
+            const std::uint64_t hash = support::fnv1a(
+                reinterpret_cast<const std::uint8_t *>(row.data()),
+                bytes);
+            if (const auto it = byHash.find(hash); it != byHash.end()) {
+                const Vec &first = points[rowOf[it->second]];
+                if (first.size() == row.size() &&
+                    (bytes == 0 ||
+                     std::memcmp(first.data(), row.data(), bytes) ==
+                         0)) {
+                    ++weight[it->second];
+                    entryOf.push_back(it->second);
+                    continue;
+                }
+            } else if (distance(config.metric, row, row) <=
+                       config.eps) {
+                byHash.emplace(hash, rowOf.size());
+            }
+            entryOf.push_back(rowOf.size());
+            rowOf.push_back(i);
+            weight.push_back(1);
+        }
+    }
+
+    std::size_t size() const { return rowOf.size(); }
+
+    /** Total weight of a set of entries. */
+    std::size_t
+    weightOf(const std::vector<std::size_t> &entries) const
+    {
+        std::size_t total = 0;
+        for (std::size_t e : entries)
+            total += weight[e];
+        return total;
+    }
+};
+
+/**
+ * Pairwise-distance scanner over a flattened copy of the distinct
+ * rows.
+ *
+ * DBSCAN's cost is regionQuery: one scan of all entries per query.
+ * The generic path pays a `distance()` dispatch, two `Vec`
+ * indirections, and (for cosine/Pearson) redundant per-row norm/mean
+ * recomputation on every pair. This scanner flattens the entries'
+ * rows into one contiguous buffer, hoists the metric dispatch out of
+ * the scan, and precomputes the per-row invariants (norms for cosine,
+ * means for Pearson) once.
  *
  * Every per-pair formula below keeps the exact operation order of
  * distance.cc — same accumulation sequence, same zero checks, same
@@ -62,30 +133,33 @@ namespace {
 class DistanceScanner
 {
   public:
-    DistanceScanner(const Matrix &points, const DbscanConfig &config)
-        : points_(points), config_(config), n_(points.size())
+    DistanceScanner(const Matrix &points, const WeightedRows &rows,
+                    const DbscanConfig &config)
+        : points_(points), rows_(rows), config_(config),
+          n_(rows.size())
     {
-        dim_ = n_ > 0 ? points[0].size() : 0;
+        dim_ = n_ > 0 ? points[rows.rowOf[0]].size() : 0;
         flat_ = true;
-        for (const Vec &row : points) {
-            if (row.size() != dim_) {
+        for (std::size_t e = 0; e < n_; ++e) {
+            if (row(e).size() != dim_) {
                 flat_ = false; // ragged input: generic path only
                 break;
             }
         }
         if (flat_) {
             buffer_.reserve(n_ * dim_);
-            for (const Vec &row : points)
-                buffer_.insert(buffer_.end(), row.begin(), row.end());
+            for (std::size_t e = 0; e < n_; ++e)
+                buffer_.insert(buffer_.end(), row(e).begin(),
+                               row(e).end());
             if (config.metric == Metric::Cosine) {
                 norms_.reserve(n_);
-                for (const Vec &row : points)
-                    norms_.push_back(norm(row));
+                for (std::size_t e = 0; e < n_; ++e)
+                    norms_.push_back(norm(row(e)));
             } else if (config.metric == Metric::Pearson) {
                 means_.reserve(n_);
-                for (const Vec &row : points) {
+                for (std::size_t e = 0; e < n_; ++e) {
                     double mean = 0.0;
-                    for (double v : row)
+                    for (double v : row(e))
                         mean += v;
                     means_.push_back(
                         dim_ > 0 ? mean / static_cast<double>(dim_)
@@ -95,15 +169,16 @@ class DistanceScanner
         }
     }
 
-    /** All points within eps of `p` (including p), into `out`. The
-     * buffer is caller-owned so one allocation serves every query. */
+    /** Every entry within eps of entry `p` (including p itself when
+     * it is its own neighbour), into `out`. The buffer is
+     * caller-owned so one allocation serves every query. */
     void
     neighbors(std::size_t p, std::vector<std::size_t> &out) const
     {
         out.clear();
         if (!flat_) {
             for (std::size_t q = 0; q < n_; ++q) {
-                if (distance(config_.metric, points_[p], points_[q]) <=
+                if (distance(config_.metric, row(p), row(q)) <=
                     config_.eps)
                     out.push_back(q);
             }
@@ -118,6 +193,12 @@ class DistanceScanner
     }
 
   private:
+    const Vec &
+    row(std::size_t e) const
+    {
+        return points_[rows_.rowOf[e]];
+    }
+
     template <Metric M>
     void
     scan(std::size_t p, std::vector<std::size_t> &out) const
@@ -173,13 +254,14 @@ class DistanceScanner
     }
 
     const Matrix &points_;
+    const WeightedRows &rows_;
     const DbscanConfig &config_;
     std::size_t n_;
     std::size_t dim_ = 0;
     bool flat_ = false;
     std::vector<double> buffer_; ///< row-major n_ x dim_
-    std::vector<double> norms_;  ///< per-row L2 norms (cosine)
-    std::vector<double> means_;  ///< per-row means (Pearson)
+    std::vector<double> norms_;  ///< per-entry L2 norms (cosine)
+    std::vector<double> means_;  ///< per-entry means (Pearson)
 };
 
 } // namespace
@@ -190,43 +272,46 @@ dbscan(const Matrix &points, const DbscanConfig &config)
     constexpr int kUnvisited = -2;
     constexpr int kNoise = -1;
 
-    DbscanResult result;
-    result.labels.assign(points.size(), kUnvisited);
-
-    const DistanceScanner scanner(points, config);
+    // Duplicates of a self-neighbour row share its neighbourhood, so
+    // they are all core or all not, and always end up with one label:
+    // clustering the weighted distinct rows and copying each entry's
+    // label to its duplicates gives the brute-force labels exactly.
+    const WeightedRows rows(points, config);
+    const DistanceScanner scanner(points, rows, config);
+    std::vector<int> labels(rows.size(), kUnvisited);
     std::vector<std::size_t> neighbors;
     std::vector<std::size_t> qNeighbors;
 
     int cluster = 0;
-    for (std::size_t p = 0; p < points.size(); ++p) {
-        if (result.labels[p] != kUnvisited)
+    for (std::size_t p = 0; p < rows.size(); ++p) {
+        if (labels[p] != kUnvisited)
             continue;
 
         scanner.neighbors(p, neighbors);
-        if (neighbors.size() < config.minPts) {
-            result.labels[p] = kNoise;
+        if (rows.weightOf(neighbors) < config.minPts) {
+            labels[p] = kNoise;
             continue;
         }
 
-        result.labels[p] = cluster;
+        labels[p] = cluster;
         std::deque<std::size_t> seeds(neighbors.begin(),
                                       neighbors.end());
         while (!seeds.empty()) {
             const std::size_t q = seeds.front();
             seeds.pop_front();
-            if (result.labels[q] == kNoise)
-                result.labels[q] = cluster; // border point
-            if (result.labels[q] != kUnvisited)
+            if (labels[q] == kNoise)
+                labels[q] = cluster; // border point
+            if (labels[q] != kUnvisited)
                 continue;
-            result.labels[q] = cluster;
+            labels[q] = cluster;
             scanner.neighbors(q, qNeighbors);
-            if (qNeighbors.size() >= config.minPts) {
+            if (rows.weightOf(qNeighbors) >= config.minPts) {
                 // Only unvisited and noise points can still change
                 // label; re-enqueueing cluster-assigned neighbors is a
                 // no-op on pop but grows the deque O(n^2) on dense
                 // blobs, so skip them at push time.
                 for (std::size_t r : qNeighbors) {
-                    if (result.labels[r] < 0)
+                    if (labels[r] < 0)
                         seeds.push_back(r);
                 }
             }
@@ -234,7 +319,18 @@ dbscan(const Matrix &points, const DbscanConfig &config)
         ++cluster;
     }
 
+    DbscanResult result;
+    result.labels.reserve(points.size());
+    for (std::size_t entry : rows.entryOf)
+        result.labels.push_back(labels[entry]);
     result.numClusters = cluster;
+
+    // Every entry is region-queried exactly once (on first visit), so
+    // the scan evaluated rows.size()^2 distances.
+    obs::addCounter("kernel.cluster.rows", points.size());
+    obs::addCounter("kernel.cluster.distinct_rows", rows.size());
+    obs::addCounter("kernel.cluster.distance_evals",
+                    rows.size() * rows.size());
     return result;
 }
 

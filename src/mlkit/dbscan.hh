@@ -34,9 +34,16 @@ struct DbscanResult
 
 /**
  * Density-based spatial clustering (Ester et al.), the algorithm FITS
- * uses for behavior clustering. The classic O(n^2) region-query
- * formulation: corpora here are a few thousand functions per binary,
- * where quadratic scans are faster than index structures.
+ * uses for behavior clustering. Region queries are linear scans, run
+ * over the distinct rows only: bit-identical rows that are their own
+ * eps-neighbours are clustered once, weighted by their duplicate
+ * count (a point is core when the weights of its neighbours sum to at
+ * least minPts), and the label is copied back to every duplicate.
+ * Labels and cluster numbering equal the brute-force O(n^2) scan over
+ * all rows. The cost is O(d^2) for d distinct rows: behavior vectors
+ * repeat heavily (about 3% are distinct on the standard corpus), and
+ * a few thousand rows per binary are too few for an index structure
+ * to pay.
  */
 DbscanResult dbscan(const Matrix &points, const DbscanConfig &config);
 

@@ -124,6 +124,41 @@ TEST(VendorMode, GeneratorEmitsSymbols)
               result.image.program.size());
 }
 
+/** Appends a function with the given BFV to a hand-built repr. */
+void
+addFunction(BehaviorRepr &repr, const Bfv &bfv, bool custom,
+            bool anchor)
+{
+    const auto id = static_cast<analysis::FnId>(repr.records.size());
+    FunctionRecord rec;
+    rec.id = id;
+    rec.entry = 0x1000 + 0x100 * id;
+    rec.isCustom = custom;
+    rec.isAnchor = anchor;
+    rec.bfv = bfv;
+    rec.augmentedCfg = {1, 1};
+    rec.attributedCfg = {1, 1};
+    repr.records.push_back(std::move(rec));
+    if (custom)
+        repr.customFns.push_back(id);
+    if (anchor)
+        repr.anchorFns.push_back(id);
+}
+
+/** An anchor-shaped BFV (loop over a parameter, many callers). */
+Bfv
+anchorBfv()
+{
+    Bfv anchor;
+    anchor.numBlocks = 5;
+    anchor.hasLoop = true;
+    anchor.numCallers = 10;
+    anchor.numParams = 2;
+    anchor.paramsControlLoop = true;
+    anchor.paramsControlBranch = true;
+    return anchor;
+}
+
 TEST(NoisePolicy, DiscardingNoiseDropsTheItsWhenItIsAnOutlier)
 {
     // Fixture: one ITS-shaped function among 40 trivial ones. The ITS
@@ -131,23 +166,6 @@ TEST(NoisePolicy, DiscardingNoiseDropsTheItsWhenItIsAnOutlier)
     // it survives to the complexity filter and wins; with noise
     // discarded it cannot appear in the ranking at all.
     BehaviorRepr repr;
-    analysis::FnId id = 0;
-    auto add = [&](Bfv bfv, bool custom, bool anchor) {
-        FunctionRecord rec;
-        rec.id = id;
-        rec.entry = 0x1000 + 0x100 * id;
-        rec.isCustom = custom;
-        rec.isAnchor = anchor;
-        rec.bfv = bfv;
-        rec.augmentedCfg = {1, 1};
-        rec.attributedCfg = {1, 1};
-        repr.records.push_back(std::move(rec));
-        if (custom)
-            repr.customFns.push_back(id);
-        if (anchor)
-            repr.anchorFns.push_back(id);
-        ++id;
-    };
 
     Bfv its;
     its.numBlocks = 14;
@@ -161,23 +179,16 @@ TEST(NoisePolicy, DiscardingNoiseDropsTheItsWhenItIsAnOutlier)
     its.paramsToAnchor = true;
     its.argsHaveStrings = true;
     its.numDistinctStrings = 5;
-    add(its, true, false);
+    addFunction(repr, its, true, false);
     const ir::Addr itsEntry = repr.records[0].entry;
 
     for (int i = 0; i < 40; ++i) {
         Bfv trivial;
         trivial.numBlocks = 1 + i % 2;
         trivial.numCallers = 1;
-        add(trivial, true, false);
+        addFunction(repr, trivial, true, false);
     }
-    Bfv anchor;
-    anchor.numBlocks = 5;
-    anchor.hasLoop = true;
-    anchor.numCallers = 10;
-    anchor.numParams = 2;
-    anchor.paramsControlLoop = true;
-    anchor.paramsControlBranch = true;
-    add(anchor, false, true);
+    addFunction(repr, anchorBfv(), false, true);
 
     const auto kept = inferIts(repr);
     ASSERT_TRUE(kept.ok());
@@ -189,6 +200,35 @@ TEST(NoisePolicy, DiscardingNoiseDropsTheItsWhenItIsAnOutlier)
     ASSERT_TRUE(dropped.ok());
     for (const auto &rf : dropped.ranking)
         EXPECT_NE(rf.entry, itsEntry);
+}
+
+TEST(NoisePolicy, DiscardingAllNoiseIsAnError)
+{
+    // Two custom functions cannot reach minPts = 3, so both are DBSCAN
+    // noise. Discarding noise leaves no class to average over: a typed
+    // error, not an empty ranking with a NaN average.
+    BehaviorRepr repr;
+    Bfv small;
+    small.numBlocks = 1;
+    small.numCallers = 1;
+    Bfv large;
+    large.numBlocks = 9;
+    large.numCallers = 4;
+    large.numLibCalls = 3;
+    addFunction(repr, small, true, false);
+    addFunction(repr, large, true, false);
+    addFunction(repr, anchorBfv(), false, true);
+
+    ASSERT_TRUE(inferIts(repr).ok());
+
+    InferConfig drop;
+    drop.noiseAsSingletons = false;
+    const auto dropped = inferIts(repr, drop);
+    EXPECT_FALSE(dropped.ok());
+    EXPECT_EQ(dropped.error,
+              "no behavior classes after dropping DBSCAN noise");
+    EXPECT_TRUE(dropped.ranking.empty());
+    EXPECT_EQ(dropped.numClusters, 0u);
 }
 
 } // namespace

@@ -16,9 +16,11 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
 
 # Second pass: the chaos fault-injection sweep and the corruption
 # fuzzers (truncated / bit-flipped containers) specifically probe the
-# decoder bounds checks that ASan is best at catching.
+# decoder bounds checks that ASan is best at catching; the DBSCAN
+# oracle sweep drives the duplicate-merging index maps with NaN and
+# signed-zero rows.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='ChaosTest.*:Corruption.*:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips'
+    --gtest_filter='ChaosTest.*:Corruption.*:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips:DbscanOracle.*'
 
 echo "asan: no memory errors detected"
