@@ -2,6 +2,7 @@
 
 #include "binary/bytebuf.hh"
 #include "chaos/chaos.hh"
+#include "ir/validate.hh"
 #include "support/status.hh"
 #include "support/strings.hh"
 
@@ -332,6 +333,15 @@ loadBinary(const std::vector<std::uint8_t> &bytes)
         return err(ErrorCode::Truncated, "truncated file");
     if (!r.atEnd())
         return err(ErrorCode::Corrupt, "trailing bytes after function table");
+
+    // The decoded IR is hostile input until proven well-formed: a
+    // temporary id past numTmps, or a numTmps no statement justifies,
+    // would index or size the analyses' per-temporary state.
+    const auto problems = ir::validateProgram(image.program);
+    if (!problems.empty()) {
+        return err(ErrorCode::Corrupt,
+                   "invalid IR: " + problems.front());
+    }
 
     image.reindexImports();
     // Content-address the image by the bytes it came from; the cache

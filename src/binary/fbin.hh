@@ -31,7 +31,8 @@ constexpr std::uint32_t kFbinVersion = 1;
 /** Serialize an image to FBIN bytes. */
 std::vector<std::uint8_t> writeBinary(const BinaryImage &image);
 
-/** Parse FBIN bytes; returns a diagnostic message on malformed input. */
+/** Parse FBIN bytes and validate the decoded IR (ir::validateProgram);
+ * returns a typed error on malformed input or ill-formed IR. */
 support::Result<BinaryImage> loadBinary(
     const std::vector<std::uint8_t> &bytes);
 

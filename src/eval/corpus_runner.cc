@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "cache/cache.hh"
-
 namespace fits::eval {
 
 namespace {
@@ -24,12 +22,6 @@ CorpusRunner::CorpusRunner(Config config)
     : config_(std::move(config)),
       jobs_(support::resolveJobs(config_.jobs))
 {
-    if (!config_.cacheDir.empty()) {
-        cache::Options options = cache::options();
-        options.disk = true;
-        options.dir = config_.cacheDir;
-        cache::configure(options);
-    }
 }
 
 core::PipelineConfig

@@ -43,10 +43,6 @@ class CorpusRunner
          * runs always re-analyze — they need the live analysis chain.
          * Results are bit-identical either way; only time changes. */
         bool cache = true;
-        /** Non-empty: persist cached products here (the on-disk tier),
-         * making repeated invocations over the same corpus
-         * incremental. Defaults to the FITS_CACHE_DIR env var. */
-        std::string cacheDir;
     };
 
     CorpusRunner()

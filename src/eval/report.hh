@@ -7,17 +7,11 @@
 #include <string>
 #include <vector>
 
-#include "core/pipeline.hh"
-#include "eval/corpus_runner.hh"
-#include "synth/firmware_gen.hh"
-
 namespace fits::eval {
 
 /**
- * Text-report layer shared by the one-shot CLI (`fits corpus`,
- * `fits rank`, `fits taint`) and the resident service (`fits serve`):
- * one implementation renders the evaluation tables, so the serial
- * client path can be diffed bit-for-bit against the one-shot tool.
+ * Text-report layer behind the CLI's `fits corpus`, `fits rank` and
+ * `fits taint`: one implementation renders the evaluation tables.
  *
  * Everything here is deterministic except wall-clock milliseconds,
  * which are reported as data (never baked into `text`) so callers can
@@ -36,11 +30,9 @@ struct CorpusOptions
     /** Evaluate every *.fwimg under this directory instead of the
      * standard synthetic corpus. */
     std::string dir;
-    /** Pipeline configuration applied to every sample. */
-    core::PipelineConfig pipeline;
     /** Called with the "evaluating N samples..." header once the
      * corpus is loaded, before the (long) evaluation runs — the
-     * one-shot CLI uses it for eager progress output. */
+     * CLI uses it for eager progress output. */
     std::function<void(const std::string &)> onHeader;
 };
 
@@ -48,29 +40,25 @@ struct CorpusOptions
 struct CorpusReport
 {
     /** False when the corpus could not be loaded at all (bad --dir,
-     * zero samples); `error` carries the exact one-shot diagnostic. */
+     * zero samples); `error` carries the diagnostic. */
     bool ok = false;
     std::string error;
 
-    /** "evaluating N samples with J worker threads...\n\n" */
-    std::string header;
     /** Deterministic report body: the per-vendor precision table,
      * the taint-engine table (when requested), and the
      * failed/degraded summary lines. */
     std::string text;
     /** Per-sample "sample failed:"/"sample degraded:" diagnostics,
-     * one per line, in outcome order (the one-shot stderr stream). */
+     * one per line, in outcome order (the CLI's stderr stream). */
     std::string diagnostics;
 
     std::size_t samples = 0;
     std::size_t failed = 0;
-    std::size_t degraded = 0;
-    std::size_t retried = 0;
     /** Resolved worker count used for the fan-out. */
     std::size_t jobs = 0;
     double wallMs = 0.0;
 
-    /** One-shot process exit code: 1 when every sample failed. */
+    /** Process exit code: 1 when every sample failed. */
     int
     exitCode() const
     {
@@ -83,7 +71,7 @@ struct CorpusReport
  * tables `fits corpus` prints. */
 CorpusReport runCorpusReport(const CorpusOptions &options);
 
-/** "wall clock: %.1f ms with %zu jobs\n" — the one-shot timing line. */
+/** "wall clock: %.1f ms with %zu jobs\n" — the timing line. */
 std::string renderWallClock(double wallMs, std::size_t jobs);
 
 /** "cache: H hits / M misses, X MiB, tier=...\n" over the process-wide
@@ -94,15 +82,14 @@ std::string renderCacheSummary();
 struct TextReport
 {
     bool ok = false;
-    std::string error; ///< one-shot stderr diagnostic when !ok
-    std::string text;  ///< one-shot stdout text when ok
+    std::string error; ///< stderr diagnostic when !ok
+    std::string text;  ///< stdout text when ok
 };
 
 /** `fits rank` body: run the pipeline on image bytes and render the
  * analyzed-summary line plus the top-`top` ranking. */
 TextReport runRankReport(const std::vector<std::uint8_t> &bytes,
-                         std::size_t top, bool useSymbols,
-                         const core::PipelineConfig &base = {});
+                         std::size_t top, bool useSymbols);
 
 /** `fits taint` body: run one engine ("sta" or "karonte") with the
  * classical sources plus the given ITS addresses and render the alert
@@ -110,14 +97,6 @@ TextReport runRankReport(const std::vector<std::uint8_t> &bytes,
 TextReport runTaintReport(const std::vector<std::uint8_t> &bytes,
                           const std::string &engine,
                           const std::vector<std::uint64_t> &itsAddrs);
-
-/** Load every *.fwimg under `dir` (sorted by path) as a corpus
- * sample; ground truth stays empty. Returns false with the exact
- * one-shot diagnostic in `error` when `dir` is missing, not a
- * directory, or unlistable. */
-bool loadCorpusDir(const std::string &dir,
-                   std::vector<synth::GeneratedFirmware> *corpus,
-                   std::string *error);
 
 } // namespace fits::eval
 

@@ -1,6 +1,6 @@
 #include "validate.hh"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "support/strings.hh"
 
@@ -8,20 +8,25 @@ namespace fits::ir {
 
 namespace {
 
+// Validation runs on every loaded binary, so the well-formed path
+// allocates no strings: a statement's address is formatted only when
+// a problem is reported there.
+
 void
 checkOperandTmps(const Operand &op, const Function &fn,
-                 const std::unordered_set<TmpId> &defined,
-                 const char *where, std::vector<std::string> &problems)
+                 const std::vector<bool> &defined, Addr at,
+                 std::vector<std::string> &problems)
 {
     using support::format;
     if (!op.isTmp())
         return;
     if (op.tmp >= fn.numTmps) {
-        problems.push_back(format("%s: tmp t%u >= numTmps %u", where,
-                                  op.tmp, fn.numTmps));
-    } else if (defined.find(op.tmp) == defined.end()) {
+        problems.push_back(format("%s: tmp t%u >= numTmps %u",
+                                  support::hex(at).c_str(), op.tmp,
+                                  fn.numTmps));
+    } else if (!defined[op.tmp]) {
         problems.push_back(format("%s: tmp t%u used but never defined",
-                                  where, op.tmp));
+                                  support::hex(at).c_str(), op.tmp));
     }
 }
 
@@ -45,7 +50,9 @@ validateFunction(const Function &fn)
     }
 
     // Contiguous layout and block address set.
-    std::unordered_set<Addr> blockAddrs;
+    std::vector<Addr> blockAddrs;
+    blockAddrs.reserve(fn.blocks.size());
+    std::size_t numStmts = 0;
     Addr cursor = fn.entry;
     for (const auto &block : fn.blocks) {
         if (block.addr != cursor) {
@@ -57,21 +64,32 @@ validateFunction(const Function &fn)
         if (block.stmts.empty())
             problems.push_back(format("block %s empty",
                                       hex(block.addr).c_str()));
-        blockAddrs.insert(block.addr);
+        blockAddrs.push_back(block.addr);
+        numStmts += block.stmts.size();
         cursor = block.addr + block.byteSize();
+    }
+    std::sort(blockAddrs.begin(), blockAddrs.end());
+
+    // Checked first: it bounds the per-temporary table below by the
+    // function's own size.
+    if (fn.numTmps > numStmts) {
+        problems.push_back(format("numTmps %u > statement count %zu",
+                                  fn.numTmps, numStmts));
+        return problems;
     }
 
     // Collect all defined tmps.
-    std::unordered_set<TmpId> defined;
+    std::vector<bool> defined(fn.numTmps, false);
     for (const auto &block : fn.blocks) {
         for (const auto &stmt : block.stmts) {
-            if (stmt.definesTmp()) {
-                defined.insert(stmt.dst);
-                if (stmt.dst >= fn.numTmps) {
-                    problems.push_back(format("defined tmp t%u >= "
-                                              "numTmps %u",
-                                              stmt.dst, fn.numTmps));
-                }
+            if (!stmt.definesTmp())
+                continue;
+            if (stmt.dst >= fn.numTmps) {
+                problems.push_back(format("defined tmp t%u >= "
+                                          "numTmps %u",
+                                          stmt.dst, fn.numTmps));
+            } else {
+                defined[stmt.dst] = true;
             }
         }
     }
@@ -79,11 +97,10 @@ validateFunction(const Function &fn)
     for (const auto &block : fn.blocks) {
         for (std::size_t i = 0; i < block.stmts.size(); ++i) {
             const Stmt &stmt = block.stmts[i];
-            std::string where = format("%s",
-                                       hex(block.stmtAddr(i)).c_str());
+            const Addr at = block.stmtAddr(i);
 
             if (stmt.isTerminator() && i + 1 != block.stmts.size()) {
-                problems.push_back(where +
+                problems.push_back(hex(at) +
                                    ": terminator not last in block");
             }
 
@@ -91,7 +108,7 @@ validateFunction(const Function &fn)
               case StmtKind::Get:
               case StmtKind::Put:
                 if (stmt.reg >= kNumRegs)
-                    problems.push_back(where + ": bad register id");
+                    problems.push_back(hex(at) + ": bad register id");
                 break;
               default:
                 break;
@@ -101,26 +118,20 @@ validateFunction(const Function &fn)
             switch (stmt.kind) {
               case StmtKind::Put:
               case StmtKind::Load:
-                checkOperandTmps(stmt.a, fn, defined, where.c_str(),
-                                 problems);
+                checkOperandTmps(stmt.a, fn, defined, at, problems);
                 break;
               case StmtKind::Binop:
               case StmtKind::Store:
-                checkOperandTmps(stmt.a, fn, defined, where.c_str(),
-                                 problems);
-                checkOperandTmps(stmt.b, fn, defined, where.c_str(),
-                                 problems);
+                checkOperandTmps(stmt.a, fn, defined, at, problems);
+                checkOperandTmps(stmt.b, fn, defined, at, problems);
                 break;
               case StmtKind::Branch:
-                checkOperandTmps(stmt.a, fn, defined, where.c_str(),
-                                 problems);
+                checkOperandTmps(stmt.a, fn, defined, at, problems);
                 break;
               case StmtKind::Call:
               case StmtKind::Jump:
-                if (stmt.indirect) {
-                    checkOperandTmps(stmt.a, fn, defined, where.c_str(),
-                                     problems);
-                }
+                if (stmt.indirect)
+                    checkOperandTmps(stmt.a, fn, defined, at, problems);
                 break;
               default:
                 break;
@@ -129,8 +140,9 @@ validateFunction(const Function &fn)
             // Direct intra-function control flow must land on blocks.
             if ((stmt.kind == StmtKind::Branch ||
                  (stmt.kind == StmtKind::Jump && !stmt.indirect)) &&
-                blockAddrs.find(stmt.target) == blockAddrs.end()) {
-                problems.push_back(where + ": target " +
+                !std::binary_search(blockAddrs.begin(), blockAddrs.end(),
+                                    stmt.target)) {
+                problems.push_back(hex(at) + ": target " +
                                    hex(stmt.target) +
                                    " is not a block boundary");
             }

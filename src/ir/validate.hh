@@ -15,6 +15,10 @@ namespace fits::ir {
  *   - blocks are laid out contiguously in address order;
  *   - every used temporary is defined somewhere in the function and all
  *     temporary ids are below numTmps;
+ *   - numTmps is at most the statement count (each statement defines at
+ *     most one temporary), so a decoded count cannot size an allocation
+ *     the code does not justify; a function failing this reports only
+ *     this problem;
  *   - direct branch/jump targets land on a block boundary inside the
  *     function;
  *   - terminators appear only in terminal position of a block;

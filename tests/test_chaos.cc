@@ -2,20 +2,24 @@
  * support::Deadline cancel token, and pipeline robustness under
  * injected faults and corrupted inputs: spec parsing, deterministic
  * replay, a sweep proving every catalog site fires and is handled as
- * a typed error or degraded result, the corpus-runner retry path, and
- * truncation/bit-flip corruption of whole firmware images. */
+ * a typed error or degraded result, the corpus-runner retry path,
+ * truncation/bit-flip corruption of whole firmware images, and hostile
+ * IR sealed inside a well-formed container. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "binary/fbin.hh"
 #include "chaos/chaos.hh"
 #include "core/pipeline.hh"
 #include "eval/corpus_runner.hh"
 #include "eval/harness.hh"
 #include "firmware/fwimg.hh"
+#include "firmware/select.hh"
 #include "ir/parse.hh"
 #include "support/deadline.hh"
 #include "support/rng.hh"
@@ -217,8 +221,6 @@ TEST_F(ChaosTest, EveryPipelineSiteFiresAndIsHandled)
             continue; // those paths are driven separately below
         if (name.rfind("cache.", 0) == 0)
             continue; // driven by test_cache.cc (needs a disk tier)
-        if (name.rfind("serve.", 0) == 0)
-            continue; // driven by test_serve.cc (needs a socket)
         for (std::uint64_t seed = 1; seed <= 5; ++seed) {
             ASSERT_TRUE(chaos::configure(
                 name + ":" + std::to_string(seed)));
@@ -504,6 +506,82 @@ TEST(Corruption, BitFlippedImagesFailCleanlyOrParse)
         }
     }
     SUCCEED();
+}
+
+/** Re-seal sampleFw() with `mutate` applied to its network binary's
+ * IR. The FBIN encoding and the FWIMG container (checksum included)
+ * stay well-formed; only the IR they carry is hostile. The rewritten
+ * FBIN bytes are returned in `fbin`. */
+std::vector<std::uint8_t>
+resealWithHostileIr(const std::function<void(ir::Program &)> &mutate,
+                    std::vector<std::uint8_t> *fbin)
+{
+    auto unpacked = fw::unpackFirmware(sampleFw().bytes);
+    const auto target =
+        fw::selectAnalysisTarget(unpacked.value().filesystem);
+    const std::string mainName = target.value().main->name;
+
+    fw::FirmwareImage hostile;
+    hostile.info = unpacked.value().info;
+    for (const auto &file : unpacked.value().filesystem.files()) {
+        fw::FileEntry entry = file;
+        auto loaded = bin::loadBinary(file.bytes);
+        if (loaded && loaded.value().name == mainName) {
+            bin::BinaryImage image = loaded.take();
+            mutate(image.program);
+            entry.bytes = bin::writeBinary(image);
+            *fbin = entry.bytes;
+        }
+        hostile.filesystem.addFile(std::move(entry));
+    }
+    return fw::packFirmware(hostile);
+}
+
+TEST(Corruption, HostileIrInSealedImageFailsTypedNeverCrash)
+{
+    const std::vector<std::function<void(ir::Program &)>> mutations = {
+        // A statement defines a temporary past the function's numTmps.
+        [](ir::Program &program) {
+            for (auto &fn : program.functions()) {
+                for (auto &block : fn.blocks) {
+                    for (auto &stmt : block.stmts) {
+                        if (stmt.definesTmp()) {
+                            stmt.dst = fn.numTmps;
+                            return;
+                        }
+                    }
+                }
+            }
+        },
+        // A numTmps no statement count justifies (~2^31 slots).
+        [](ir::Program &program) {
+            program.functions().front().numTmps = 0x7fffffff;
+        },
+    };
+    const core::FitsPipeline pipeline;
+    for (std::size_t i = 0; i < mutations.size(); ++i) {
+        std::vector<std::uint8_t> fbin;
+        const auto sealed = resealWithHostileIr(mutations[i], &fbin);
+        ASSERT_FALSE(fbin.empty()) << "mutation " << i;
+
+        // The loader rejects the IR outright, naming the problem.
+        const auto loaded = bin::loadBinary(fbin);
+        ASSERT_FALSE(loaded) << "mutation " << i;
+        EXPECT_EQ(loaded.status().code(), support::ErrorCode::Corrupt)
+            << "mutation " << i;
+        EXPECT_NE(loaded.errorMessage().find("invalid IR"),
+                  std::string::npos)
+            << loaded.errorMessage();
+
+        // The sealed container unpacks, and the pipeline turns the
+        // hostile binary into a typed failure instead of handing it
+        // to UCSE.
+        ASSERT_TRUE(fw::unpackFirmware(sealed)) << "mutation " << i;
+        const auto artifact = pipeline.analyze(sealed);
+        EXPECT_FALSE(artifact.ok) << "mutation " << i;
+        EXPECT_FALSE(artifact.status.isOk()) << "mutation " << i;
+        EXPECT_FALSE(artifact.error.empty()) << "mutation " << i;
+    }
 }
 
 } // namespace
