@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -36,7 +35,6 @@ struct Counters
     std::atomic<std::uint64_t> diskHits{0};
     std::atomic<std::uint64_t> diskMisses{0};
     std::atomic<std::uint64_t> diskCorrupt{0};
-    std::atomic<std::uint64_t> evictions{0};
 };
 
 Counters &
@@ -81,10 +79,10 @@ bumpDiskCorrupt()
         obs::addCounter("cache.disk.corrupt");
 }
 
-// ---- memory tier ---------------------------------------------------
+// ---- library tier --------------------------------------------------
 
 /** A lifted image together with one config's analysis products. The
- * two travel as one object so cached `FunctionAnalysis::image`/`fn`
+ * two travel as one object so shared `FunctionAnalysis::image`/`fn`
  * pointers can never outlive — or diverge from — their image. */
 struct AnalyzedImage
 {
@@ -92,66 +90,23 @@ struct AnalyzedImage
     std::vector<analysis::FunctionAnalysis> fns;
 };
 
-struct ImageOutcome
+/** One resident library: the lifted image plus its analyses, one
+ * product per UCSE config fingerprint. */
+struct Library
 {
-    std::shared_ptr<const bin::BinaryImage> image; ///< null = failed
-    support::Status status;
-};
-
-template <typename V>
-struct Slot
-{
-    std::shared_future<V> future;
-    std::uint64_t id = 0;    ///< insertion identity (ABA guard)
-    std::uint64_t tick = 0;  ///< LRU clock
-    std::size_t bytes = 0;   ///< 0 while unresolved (never evicted)
-};
-
-struct BlobEntry
-{
-    std::shared_ptr<const std::string> payload;
-    std::uint64_t tick = 0;
-    std::size_t bytes = 0;
-};
-
-struct AnalysisKey
-{
-    const void *image = nullptr;
-    std::uint64_t fingerprint = 0;
-
-    bool
-    operator==(const AnalysisKey &other) const
-    {
-        return image == other.image &&
-               fingerprint == other.fingerprint;
-    }
-};
-
-struct AnalysisKeyHash
-{
-    std::size_t
-    operator()(const AnalysisKey &key) const
-    {
-        const auto a =
-            reinterpret_cast<std::uintptr_t>(key.image);
-        return static_cast<std::size_t>(
-            (a * 0x9e3779b97f4a7c15ull) ^ key.fingerprint);
-    }
+    std::shared_ptr<const bin::BinaryImage> image;
+    std::unordered_map<std::uint64_t,
+                       std::shared_ptr<const AnalyzedImage>>
+        analyses;
 };
 
 struct State
 {
     std::mutex mutex;
     Options options;
-    std::uint64_t nextId = 0;
-    std::uint64_t tick = 0;
     std::size_t totalBytes = 0;
-    std::unordered_map<std::uint64_t, Slot<ImageOutcome>> images;
-    std::unordered_map<AnalysisKey,
-                       Slot<std::shared_ptr<const AnalyzedImage>>,
-                       AnalysisKeyHash>
-        analyses;
-    std::unordered_map<std::string, BlobEntry> blobs;
+    /** FNV-1a of the library's FBIN bytes -> resident library. */
+    std::unordered_map<std::uint64_t, Library> libraries;
 };
 
 State &
@@ -219,78 +174,27 @@ approxAnalysesBytes(const AnalyzedImage &product)
     return total;
 }
 
-/** Evict resolved least-recently-used entries until under budget.
- * In-flight slots (bytes == 0) are skipped: their future is the
- * single-flight rendezvous. */
-void
-evictLocked(State &s)
+/** The resident library whose image is `image`, or nullptr. A scan:
+ * a process holds a handful of distinct libraries. */
+Library *
+residentLocked(State &s, const bin::BinaryImage *image)
 {
-    while (s.totalBytes > s.options.maxBytes) {
-        enum class Kind { None, Image, Analysis, Blob };
-        Kind kind = Kind::None;
-        std::uint64_t best = ~0ull;
-        std::uint64_t imageKey = 0;
-        AnalysisKey analysisKey;
-        const std::string *blobKey = nullptr;
-
-        for (const auto &[key, slot] : s.images) {
-            if (slot.bytes > 0 && slot.tick < best) {
-                best = slot.tick;
-                kind = Kind::Image;
-                imageKey = key;
-            }
-        }
-        for (const auto &[key, slot] : s.analyses) {
-            if (slot.bytes > 0 && slot.tick < best) {
-                best = slot.tick;
-                kind = Kind::Analysis;
-                analysisKey = key;
-            }
-        }
-        for (const auto &[key, entry] : s.blobs) {
-            if (entry.tick < best) {
-                best = entry.tick;
-                kind = Kind::Blob;
-                blobKey = &key;
-            }
-        }
-
-        switch (kind) {
-          case Kind::None:
-            return; // everything left is in-flight
-          case Kind::Image: {
-            auto it = s.images.find(imageKey);
-            s.totalBytes -= it->second.bytes;
-            s.images.erase(it);
-            break;
-          }
-          case Kind::Analysis: {
-            auto it = s.analyses.find(analysisKey);
-            s.totalBytes -= it->second.bytes;
-            s.analyses.erase(it);
-            break;
-          }
-          case Kind::Blob: {
-            auto it = s.blobs.find(*blobKey);
-            s.totalBytes -= it->second.bytes;
-            s.blobs.erase(it);
-            break;
-          }
-        }
-        counters().evictions.fetch_add(1, std::memory_order_relaxed);
-        if (obs::enabled())
-            obs::addCounter("cache.evictions");
+    for (auto &[key, library] : s.libraries) {
+        if (library.image.get() == image)
+            return &library;
     }
+    return nullptr;
 }
 
-std::string
-blobKeyOf(std::string_view kind, std::uint64_t key1,
-          std::uint64_t key2)
+/** Charge `bytes` to the tier if they fit under the admission cap. */
+bool
+admitLocked(State &s, std::size_t bytes)
 {
-    return std::string(kind) +
-           support::format(":%016llx:%016llx",
-                           static_cast<unsigned long long>(key1),
-                           static_cast<unsigned long long>(key2));
+    if (s.totalBytes + bytes > s.options.maxBytes)
+        return false;
+    s.totalBytes += bytes;
+    publishBytesLocked(s);
+    return true;
 }
 
 // ---- disk tier -----------------------------------------------------
@@ -379,12 +283,12 @@ readDiskEntry(const std::string &path, std::uint64_t key1,
 /** Write one disk entry atomically (temp file + rename). Failures are
  * swallowed: a cache store that does not land is just a future miss. */
 void
-writeDiskEntry(const std::string &dir, const std::string &path,
-               std::uint64_t key1, std::uint64_t key2,
-               std::string_view payload)
+writeDiskEntry(const std::string &path, std::uint64_t key1,
+               std::uint64_t key2, std::string_view payload)
 {
     std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
+    std::filesystem::create_directories(
+        std::filesystem::path(path).parent_path(), ec);
     if (ec)
         return;
 
@@ -449,8 +353,6 @@ configure(const Options &options)
     State &s = state();
     const std::lock_guard<std::mutex> lock(s.mutex);
     s.options = options;
-    evictLocked(s);
-    publishBytesLocked(s);
 }
 
 Options
@@ -466,9 +368,7 @@ clearMemory()
 {
     State &s = state();
     const std::lock_guard<std::mutex> lock(s.mutex);
-    s.images.clear();
-    s.analyses.clear();
-    s.blobs.clear();
+    s.libraries.clear();
     s.totalBytes = 0;
     publishBytesLocked(s);
 }
@@ -483,7 +383,6 @@ stats()
     out.diskHits = c.diskHits.load(std::memory_order_relaxed);
     out.diskMisses = c.diskMisses.load(std::memory_order_relaxed);
     out.diskCorrupt = c.diskCorrupt.load(std::memory_order_relaxed);
-    out.evictions = c.evictions.load(std::memory_order_relaxed);
     State &s = state();
     const std::lock_guard<std::mutex> lock(s.mutex);
     out.bytes = s.totalBytes;
@@ -499,7 +398,6 @@ resetStats()
     c.diskHits.store(0, std::memory_order_relaxed);
     c.diskMisses.store(0, std::memory_order_relaxed);
     c.diskCorrupt.store(0, std::memory_order_relaxed);
-    c.evictions.store(0, std::memory_order_relaxed);
 }
 
 bool
@@ -533,84 +431,40 @@ fingerprintOf(const analysis::UcseConfig &config)
 }
 
 support::Result<std::shared_ptr<const bin::BinaryImage>>
-loadImage(const std::vector<std::uint8_t> &bytes)
+loadLibrary(const std::vector<std::uint8_t> &bytes)
 {
     using R = support::Result<std::shared_ptr<const bin::BinaryImage>>;
-    if (!memoryUsable()) {
-        auto loaded = bin::loadBinary(bytes);
-        if (!loaded)
-            return R::error(loaded.status());
-        return R::ok(std::make_shared<const bin::BinaryImage>(
-            loaded.take()));
-    }
-
-    const std::uint64_t key = support::fnv1a(bytes.data(),
-                                             bytes.size());
+    const bool usable = memoryUsable();
+    const std::uint64_t key =
+        usable ? support::fnv1a(bytes.data(), bytes.size()) : 0;
     State &s = state();
-    std::promise<ImageOutcome> promise;
-    std::shared_future<ImageOutcome> future;
-    bool owner = false;
-    std::uint64_t id = 0;
-    {
+    if (usable) {
         const std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.images.find(key);
-        if (it != s.images.end()) {
-            it->second.tick = ++s.tick;
-            future = it->second.future;
-        } else {
-            owner = true;
-            id = ++s.nextId;
-            Slot<ImageOutcome> slot;
-            slot.future = promise.get_future().share();
-            slot.id = id;
-            slot.tick = ++s.tick;
-            future = slot.future;
-            s.images.emplace(key, std::move(slot));
+        auto it = s.libraries.find(key);
+        if (it != s.libraries.end()) {
+            bumpHit();
+            return R::ok(it->second.image);
         }
+        bumpMiss();
     }
 
-    if (!owner) {
-        // Single-flight join: someone else is (or was) loading these
-        // exact bytes; share their outcome.
-        const ImageOutcome &outcome = future.get();
-        if (outcome.image == nullptr) {
-            bumpMiss();
-            return R::error(outcome.status);
-        }
-        bumpHit();
-        return R::ok(outcome.image);
-    }
-
-    bumpMiss();
-    ImageOutcome outcome;
+    // Lift outside the lock; a concurrent miss on the same bytes lifts
+    // its own copy and the insert below keeps whichever landed first.
     auto loaded = bin::loadBinary(bytes);
-    if (!loaded) {
-        outcome.status = loaded.status();
-        promise.set_value(outcome);
-        // Failures are not cached: drop the slot so a later call with
-        // the same (possibly repaired on disk) content retries.
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.images.find(key);
-        if (it != s.images.end() && it->second.id == id)
-            s.images.erase(it);
-        return R::error(outcome.status);
-    }
-    outcome.image =
-        std::make_shared<const bin::BinaryImage>(loaded.take());
-    promise.set_value(outcome);
+    if (!loaded)
+        return R::error(loaded.status());
+    auto image = std::make_shared<const bin::BinaryImage>(loaded.take());
+    if (!usable)
+        return R::ok(std::move(image));
 
-    const std::size_t entryBytes = approxImageBytes(*outcome.image);
-    {
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.images.find(key);
-        if (it != s.images.end() && it->second.id == id) {
-            it->second.bytes = entryBytes;
-            s.totalBytes += entryBytes;
-            evictLocked(s);
-        }
-        publishBytesLocked(s);
-    }
-    return R::ok(outcome.image);
+    const std::size_t entryBytes = approxImageBytes(*image);
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    auto it = s.libraries.find(key);
+    if (it != s.libraries.end())
+        return R::ok(it->second.image);
+    if (admitLocked(s, entryBytes))
+        s.libraries.emplace(key, Library{image, {}});
+    return R::ok(std::move(image));
 }
 
 std::shared_ptr<const std::vector<analysis::FunctionAnalysis>>
@@ -622,69 +476,40 @@ functionAnalyses(const std::shared_ptr<const bin::BinaryImage> &image,
     if (config.deadline.active() || !memoryUsable())
         return fnsView(computeAnalyses(image, config));
 
-    const AnalysisKey key{image.get(), fingerprintOf(config)};
+    const std::uint64_t fingerprint = fingerprintOf(config);
     State &s = state();
-    std::promise<std::shared_ptr<const AnalyzedImage>> promise;
-    std::shared_future<std::shared_ptr<const AnalyzedImage>> future;
-    bool owner = false;
-    std::uint64_t id = 0;
+    bool resident = false;
     {
         const std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.analyses.find(key);
-        if (it != s.analyses.end()) {
-            it->second.tick = ++s.tick;
-            future = it->second.future;
-        } else {
-            owner = true;
-            id = ++s.nextId;
-            Slot<std::shared_ptr<const AnalyzedImage>> slot;
-            slot.future = promise.get_future().share();
-            slot.id = id;
-            slot.tick = ++s.tick;
-            future = slot.future;
-            s.analyses.emplace(key, std::move(slot));
+        if (Library *library = residentLocked(s, image.get())) {
+            auto it = library->analyses.find(fingerprint);
+            if (it != library->analyses.end()) {
+                bumpHit();
+                return fnsView(it->second);
+            }
+            resident = true;
         }
     }
-
-    if (!owner) {
-        const std::shared_ptr<const AnalyzedImage> &product =
-            future.get();
-        if (product == nullptr) {
-            // The computing thread failed; analyze independently so
-            // its exception surfaces in the right worker.
-            bumpMiss();
-            return fnsView(computeAnalyses(image, config));
-        }
-        bumpHit();
-        return fnsView(product);
-    }
+    // Not a resident library (a main binary, or one past the cap):
+    // nothing to share, so nothing to store.
+    if (!resident)
+        return fnsView(computeAnalyses(image, config));
 
     bumpMiss();
-    std::shared_ptr<const AnalyzedImage> product;
-    try {
-        product = computeAnalyses(image, config);
-    } catch (...) {
-        promise.set_value(nullptr);
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.analyses.find(key);
-        if (it != s.analyses.end() && it->second.id == id)
-            s.analyses.erase(it);
-        throw;
-    }
-    promise.set_value(product);
-
+    auto product = computeAnalyses(image, config);
     const std::size_t entryBytes = approxAnalysesBytes(*product);
-    {
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.analyses.find(key);
-        if (it != s.analyses.end() && it->second.id == id) {
-            it->second.bytes = entryBytes;
-            s.totalBytes += entryBytes;
-            evictLocked(s);
-        }
-        publishBytesLocked(s);
-    }
-    return fnsView(product);
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    // The library may have been dropped (clearMemory) meanwhile, and a
+    // concurrent miss may already have stored its product.
+    Library *library = residentLocked(s, image.get());
+    if (library == nullptr)
+        return fnsView(std::move(product));
+    auto it = library->analyses.find(fingerprint);
+    if (it != library->analyses.end())
+        return fnsView(it->second);
+    if (admitLocked(s, entryBytes))
+        library->analyses.emplace(fingerprint, product);
+    return fnsView(std::move(product));
 }
 
 std::string
@@ -709,32 +534,7 @@ std::optional<std::string>
 fetchBlob(std::string_view kind, std::uint64_t key1,
           std::uint64_t key2)
 {
-    const bool memTier = memoryUsable();
-    const bool diskTier = diskUsable();
-    if (!memTier && !diskTier)
-        return std::nullopt;
-
-    const std::string key = blobKeyOf(kind, key1, key2);
-    State &s = state();
-
-    if (memTier) {
-        std::shared_ptr<const std::string> payload;
-        {
-            const std::lock_guard<std::mutex> lock(s.mutex);
-            auto it = s.blobs.find(key);
-            if (it != s.blobs.end()) {
-                it->second.tick = ++s.tick;
-                payload = it->second.payload;
-            }
-        }
-        if (payload != nullptr) {
-            bumpHit();
-            return *payload;
-        }
-        bumpMiss();
-    }
-
-    if (!diskTier)
+    if (!diskUsable())
         return std::nullopt;
 
     // Injected read fault: the entry is unreadable; degrade to a miss.
@@ -744,28 +544,9 @@ fetchBlob(std::string_view kind, std::uint64_t key1,
         return std::nullopt;
     }
 
-    const std::string path = blobPath(kind, key1, key2);
-    auto payload = readDiskEntry(path, key1, key2);
+    auto payload =
+        readDiskEntry(blobPath(kind, key1, key2), key1, key2);
     bumpDisk(payload.has_value());
-    if (!payload.has_value())
-        return std::nullopt;
-
-    if (memTier) {
-        // Promote so the next fetch in this process skips the disk.
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        auto &entry = s.blobs[key];
-        if (entry.payload == nullptr) {
-            entry.payload =
-                std::make_shared<const std::string>(*payload);
-            entry.bytes = key.size() + payload->size() + 64;
-            entry.tick = ++s.tick;
-            s.totalBytes += entry.bytes;
-            evictLocked(s);
-            publishBytesLocked(s);
-        } else {
-            entry.tick = ++s.tick;
-        }
-    }
     return payload;
 }
 
@@ -773,43 +554,11 @@ void
 storeBlob(std::string_view kind, std::uint64_t key1,
           std::uint64_t key2, std::string_view payload)
 {
-    const bool memTier = memoryUsable();
-    const bool diskTier = diskUsable();
-    if (!memTier && !diskTier)
+    if (!diskUsable())
         return;
-
-    const std::string key = blobKeyOf(kind, key1, key2);
-    State &s = state();
-
-    if (memTier) {
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        auto &entry = s.blobs[key];
-        if (entry.payload == nullptr) {
-            entry.payload =
-                std::make_shared<const std::string>(payload);
-            entry.bytes = key.size() + payload.size() + 64;
-            entry.tick = ++s.tick;
-            s.totalBytes += entry.bytes;
-            evictLocked(s);
-            publishBytesLocked(s);
-        } else {
-            // Keys are content-derived, so an existing entry already
-            // holds these bytes; just refresh recency.
-            entry.tick = ++s.tick;
-        }
-    }
-
-    if (diskTier) {
-        if (chaos::shouldInject("cache.write"))
-            return; // injected write fault: entry never lands
-        std::string dir;
-        {
-            const std::lock_guard<std::mutex> lock(s.mutex);
-            dir = s.options.dir;
-        }
-        writeDiskEntry(dir, blobPath(kind, key1, key2), key1, key2,
-                       payload);
-    }
+    if (chaos::shouldInject("cache.write"))
+        return; // injected write fault: entry never lands
+    writeDiskEntry(blobPath(kind, key1, key2), key1, key2, payload);
 }
 
 } // namespace fits::cache

@@ -234,7 +234,10 @@ decodeBehaviorBundle(std::string_view payload)
     bundle.imageInfo.vendor = c.str();
     bundle.imageInfo.product = c.str();
     bundle.imageInfo.version = c.str();
-    bundle.imageInfo.encoding = static_cast<fw::Encoding>(c.u8());
+    const std::uint8_t encoding = c.u8();
+    if (encoding > static_cast<std::uint8_t>(fw::Encoding::Opaque))
+        return std::nullopt;
+    bundle.imageInfo.encoding = static_cast<fw::Encoding>(encoding);
 
     bundle.binaryName = c.str();
     bundle.numFunctions = c.u64();
@@ -257,19 +260,24 @@ decodeBehaviorBundle(std::string_view payload)
         bundle.behavior.records.push_back(std::move(rec));
     }
 
-    const std::uint32_t numCustom = c.u32();
-    if (c.bad || (payload.size() - c.pos) / 4 < numCustom)
+    // Inference indexes `records` by these ids, so an id past the
+    // table is a corrupt entry even under a valid checksum.
+    const auto readIds = [&](std::vector<analysis::FnId> &ids) {
+        const std::uint32_t n = c.u32();
+        if (c.bad || (payload.size() - c.pos) / 4 < n)
+            return false;
+        ids.reserve(n);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const std::uint32_t id = c.u32();
+            if (id >= bundle.behavior.records.size())
+                return false;
+            ids.push_back(id);
+        }
+        return true;
+    };
+    if (!readIds(bundle.behavior.customFns) ||
+        !readIds(bundle.behavior.anchorFns))
         return std::nullopt;
-    bundle.behavior.customFns.reserve(numCustom);
-    for (std::uint32_t i = 0; i < numCustom; ++i)
-        bundle.behavior.customFns.push_back(c.u32());
-
-    const std::uint32_t numAnchor = c.u32();
-    if (c.bad || (payload.size() - c.pos) / 4 < numAnchor)
-        return std::nullopt;
-    bundle.behavior.anchorFns.reserve(numAnchor);
-    for (std::uint32_t i = 0; i < numAnchor; ++i)
-        bundle.behavior.anchorFns.push_back(c.u32());
 
     if (c.bad || c.pos != payload.size())
         return std::nullopt;

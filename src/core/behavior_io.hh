@@ -36,8 +36,9 @@ struct BehaviorBundle
  */
 std::string encodeBehaviorBundle(const BehaviorBundle &bundle);
 
-/** Parse a payload; nullopt on any truncation, bad tag, or version
- * skew (the cache treats that as a miss). */
+/** Parse a payload; nullopt on any truncation, bad tag, version skew,
+ * out-of-range encoding byte, or custom/anchor id past the record
+ * table (the cache treats that as a miss). */
 std::optional<BehaviorBundle> decodeBehaviorBundle(
     std::string_view payload);
 

@@ -101,16 +101,16 @@ FitsPipeline::analyze(const std::vector<std::uint8_t> &firmware) const
     PipelineArtifact artifact;
 
     // Behavior-cache fast path: the whole-sample behavior product is
-    // keyed by (firmware content hash, behavior-config fingerprint).
-    // An active stage budget disqualifies the sample — budget-bound
-    // results are timing-dependent and must be neither served nor
-    // stored. A hit replays stage 3 on the decoded representation; any
-    // decode defect silently falls through to the full pipeline.
+    // kept on disk, keyed by (firmware content hash, behavior-config
+    // fingerprint). An active stage budget disqualifies the sample —
+    // budget-bound results are timing-dependent and must be neither
+    // served nor stored. A hit replays stage 3 on the decoded
+    // representation; any decode defect silently falls through to the
+    // full pipeline.
     const bool cacheable = config_.behaviorCache &&
                            config_.budgets.behaviorMs <= 0.0 &&
                            !config_.behavior.ucse.deadline.active() &&
-                           (cache::memoryUsable() ||
-                            cache::diskUsable());
+                           cache::diskUsable();
     std::uint64_t cacheKey1 = 0;
     std::uint64_t cacheKey2 = 0;
     if (cacheable) {
@@ -234,24 +234,25 @@ FitsPipeline::analyzeTargetStages(fw::AnalysisTarget target) const
                 support::Deadline::afterMs(config_.budgets.behaviorMs);
         }
 
-        // Per-image analysis products come from the process-wide
-        // cache keyed by image identity + config, so a library shared
-        // by many samples is UCSE-analyzed once. Concatenating the
-        // per-image vectors in [main, libs...] order reproduces the
-        // LinkedProgram's FnId order exactly; the cache computes
-        // directly (bit-identically) whenever it is bypassed — e.g.
-        // under an active deadline or non-cache fault injection.
+        // The main binary is unique to this sample, so its analyses
+        // are built in place. Each library's analyses come from the
+        // cache's library tier keyed by content + config, so a library
+        // shared by many samples is UCSE-analyzed once. Appending in
+        // [main, libs...] order reproduces the LinkedProgram's FnId
+        // order exactly; the cache computes directly (bit-identically)
+        // whenever it is bypassed — e.g. under an active deadline or
+        // non-cache fault injection.
+        const bin::BinaryImage &mainImage = *artifact.target->main;
         std::vector<analysis::FunctionAnalysis> fns;
         fns.reserve(artifact.linked->fnCount());
-        const auto appendImage =
-            [&](const std::shared_ptr<const bin::BinaryImage> &image) {
-                const auto cached =
-                    cache::functionAnalyses(image, ucseConfig);
-                fns.insert(fns.end(), cached->begin(), cached->end());
-            };
-        appendImage(artifact.target->main);
-        for (const auto &lib : artifact.target->libraries)
-            appendImage(lib);
+        for (const auto &fn : mainImage.program.functions()) {
+            fns.push_back(analysis::FunctionAnalysis::analyze(
+                mainImage, fn, ucseConfig));
+        }
+        for (const auto &lib : artifact.target->libraries) {
+            const auto shared = cache::functionAnalyses(lib, ucseConfig);
+            fns.insert(fns.end(), shared->begin(), shared->end());
+        }
         artifact.analysis =
             std::make_unique<analysis::ProgramAnalysis>(
                 analysis::ProgramAnalysis::fromFunctionAnalyses(

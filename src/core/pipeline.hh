@@ -38,7 +38,7 @@ struct PipelineConfig
     StageBudgets budgets;
 
     /**
-     * Consult the analysis cache's blob tier for whole-sample behavior
+     * Consult the analysis cache's disk tier for whole-sample behavior
      * representations (keyed by firmware content hash + behavior-config
      * fingerprint): a warm hit skips unpack through BFV extraction and
      * goes straight to inference. Off by default because a cached

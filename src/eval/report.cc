@@ -256,15 +256,12 @@ renderWallClock(double wallMs, std::size_t jobs)
 std::string
 renderCacheSummary()
 {
-    // A memory miss that the disk tier served still counts as a hit
-    // overall.
+    // Library-tier lookups and disk-tier behavior fetches are
+    // independent, so their hits and misses simply add.
     const cache::Stats cstats = cache::stats();
     const cache::Options copts = cache::options();
     const std::uint64_t hits = cstats.hits + cstats.diskHits;
-    const std::uint64_t misses =
-        copts.memory
-            ? cstats.misses - std::min(cstats.misses, cstats.diskHits)
-            : cstats.diskMisses;
+    const std::uint64_t misses = cstats.misses + cstats.diskMisses;
     const char *tier = copts.memory && copts.disk ? "mem+disk"
                        : copts.disk               ? "disk"
                        : copts.memory             ? "mem"

@@ -1,5 +1,8 @@
 #include "select.hh"
 
+#include <optional>
+
+#include "binary/fbin.hh"
 #include "cache/cache.hh"
 #include "chaos/chaos.hh"
 #include "support/logging.hh"
@@ -53,18 +56,21 @@ selectAnalysisTarget(const Filesystem &filesystem)
 
     bool anyParsed = false;
     int bestScore = 0;
-    std::shared_ptr<const bin::BinaryImage> best;
+    std::optional<bin::BinaryImage> best;
 
+    // Executables are lifted directly: each sample's main binary is its
+    // own, so only the dependency libraries below go through the
+    // cache's library tier.
     for (const FileEntry *entry :
          filesystem.filesOfType(FileType::Executable)) {
-        auto loaded = cache::loadImage(entry->bytes);
+        auto loaded = bin::loadBinary(entry->bytes);
         if (!loaded) {
             support::logWarn("select", entry->path + ": " +
                                            loaded.errorMessage());
             continue;
         }
         anyParsed = true;
-        const int score = networkScore(*loaded.value());
+        const int score = networkScore(loaded.value());
         if (score > bestScore) {
             bestScore = score;
             best = loaded.take();
@@ -83,7 +89,8 @@ selectAnalysisTarget(const Filesystem &filesystem)
     }
 
     AnalysisTarget target;
-    target.main = std::move(best);
+    target.main = std::make_shared<const bin::BinaryImage>(
+        std::move(*best));
 
     for (const auto &dep : target.main->neededLibraries) {
         // A library that fails to lift is a *degradation*, not a
@@ -99,7 +106,7 @@ selectAnalysisTarget(const Filesystem &filesystem)
             target.missingLibraries.push_back(dep);
             continue;
         }
-        auto lib = cache::loadImage(libEntry->bytes);
+        auto lib = cache::loadLibrary(libEntry->bytes);
         if (!lib) {
             target.missingLibraries.push_back(dep);
             support::logWarn("select",

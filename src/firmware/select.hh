@@ -13,11 +13,11 @@ namespace fits::fw {
 
 /**
  * The unit FITS analyzes: the network-facing binary plus its resolved
- * dependency libraries (found via the DT_NEEDED-style list). Images are
- * shared immutable instances owned by the analysis cache: the same
- * library bytes appearing in many firmware samples select the same
- * in-memory image, which is what lets per-image analysis products be
- * reused across samples.
+ * dependency libraries (found via the DT_NEEDED-style list). The main
+ * binary is lifted for this target alone; libraries come from the
+ * cache's library tier, so the same library bytes shipped by many
+ * firmware samples select the same immutable image while it is
+ * resident, which is what lets its analyses be reused across samples.
  */
 struct AnalysisTarget
 {

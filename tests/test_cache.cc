@@ -1,10 +1,11 @@
 /** @file Determinism and degradation tests for the fits::cache
- * analysis-memoization subsystem: behavior-bundle serialization
- * round-trips bit-for-bit, rankings are identical with/without the
- * cache and across cold/warm runs on both tiers, serial and parallel
- * corpus runs agree, corrupt or stale disk entries degrade to misses,
- * injected cache faults degrade gracefully, and the memory tier stays
- * within its LRU budget. */
+ * analysis-reuse subsystem: behavior-bundle serialization round-trips
+ * bit-for-bit and rejects hostile contents, rankings are identical
+ * with/without the cache and across cold/warm runs on both tiers,
+ * serial and parallel corpus runs agree, only shared libraries stay
+ * resident, the admission cap stores nothing past it, corrupt or stale
+ * disk entries degrade to misses, and injected cache faults degrade
+ * gracefully. */
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "binary/fbin.hh"
 #include "cache/cache.hh"
 #include "chaos/chaos.hh"
 #include "core/behavior_io.hh"
@@ -22,7 +24,9 @@
 #include "eval/corpus_runner.hh"
 #include "eval/harness.hh"
 #include "firmware/fwimg.hh"
+#include "support/strings.hh"
 #include "synth/firmware_gen.hh"
+#include "synth/libc_gen.hh"
 
 namespace fits {
 namespace {
@@ -74,8 +78,8 @@ class CacheTest : public ::testing::Test
     std::string dir_;
 };
 
-/** A small deterministic corpus with shared per-vendor libraries, so
- * cross-sample image/analysis reuse actually occurs. */
+/** A small deterministic corpus; every sample ships the same libc, so
+ * cross-sample library reuse actually occurs. */
 std::vector<synth::GeneratedFirmware>
 smallCorpus(std::size_t n)
 {
@@ -128,6 +132,53 @@ cachingPipelineConfig()
     core::PipelineConfig config;
     config.behaviorCache = true;
     return config;
+}
+
+/** The FBIN bytes of the sample's lib/libc.so. */
+std::vector<std::uint8_t>
+libcBytes(const synth::GeneratedFirmware &sample)
+{
+    auto unpacked = fw::unpackFirmware(sample.bytes);
+    const fw::FileEntry *libc =
+        unpacked ? unpacked.value().filesystem.findByBasename("libc.so")
+                 : nullptr;
+    return libc != nullptr ? libc->bytes : std::vector<std::uint8_t>{};
+}
+
+/** Per-function analysis results that do not depend on where the image
+ * lives in memory, for comparing two computations of one library. */
+std::vector<std::string>
+summarize(const std::vector<analysis::FunctionAnalysis> &fns)
+{
+    std::vector<std::string> out;
+    for (const auto &fa : fns) {
+        std::string line = support::format(
+            "%llx params=%x/%d loops=%x steps=%zu calls=%zu jumps=%zu "
+            "defs=%zu blocks=",
+            static_cast<unsigned long long>(fa.fn->entry),
+            fa.params.usedMask, fa.params.count, fa.loopDepMask,
+            fa.ucse.steps, fa.ucse.resolvedCalls.size(),
+            fa.ucse.resolvedJumps.size(), fa.flow.defs.size());
+        for (const bool reached : fa.ucse.reachedBlocks)
+            line += reached ? '1' : '0';
+        out.push_back(std::move(line));
+    }
+    return out;
+}
+
+void
+expectIdenticalRankings(const core::InferenceResult &a,
+                        const core::InferenceResult &b)
+{
+    ASSERT_EQ(a.ranking.size(), b.ranking.size());
+    for (std::size_t r = 0; r < a.ranking.size(); ++r) {
+        EXPECT_EQ(a.ranking[r].id, b.ranking[r].id);
+        EXPECT_EQ(a.ranking[r].entry, b.ranking[r].entry);
+        EXPECT_EQ(a.ranking[r].name, b.ranking[r].name);
+        EXPECT_EQ(scoreBits(a.ranking[r].score),
+                  scoreBits(b.ranking[r].score))
+            << "rank " << r;
+    }
 }
 
 // ---- behavior-bundle serialization -------------------------------------
@@ -206,31 +257,179 @@ TEST_F(CacheTest, DecodeRejectsCorruptPayloads)
         core::decodeBehaviorBundle(payload + '\0').has_value());
 }
 
-// ---- memory tier -------------------------------------------------------
-
-TEST_F(CacheTest, LoadImageSharesOneInstancePerContent)
+TEST_F(CacheTest, HostileBundleContentsDegradeToMiss)
 {
+    // A well-formed, checksummed disk entry under a real sample's key
+    // whose contents lie: ids past the record table (inference would
+    // index `records` with them) or an unknown encoding byte.
+    enableDisk();
     const auto corpus = smallCorpus(1);
-    auto unpacked = fw::unpackFirmware(corpus[0].bytes);
-    ASSERT_TRUE(unpacked);
-    const auto &files = unpacked.value().filesystem.files();
-    ASSERT_FALSE(files.empty());
+    const core::PipelineConfig config = cachingPipelineConfig();
+    const auto reference =
+        core::FitsPipeline{core::PipelineConfig{}}.run(corpus[0].bytes);
+    ASSERT_TRUE(reference.ok);
 
-    // The first liftable file will do; config files fail to load and
-    // (by design) are never cached.
-    bool tested = false;
-    for (const auto &entry : files) {
-        const auto first = cache::loadImage(entry.bytes);
-        if (!first)
-            continue;
-        const auto second = cache::loadImage(entry.bytes);
-        ASSERT_TRUE(second);
-        EXPECT_EQ(first.value().get(), second.value().get());
-        tested = true;
-        break;
+    core::BehaviorBundle bundle;
+    bundle.imageInfo = reference.imageInfo;
+    bundle.binaryName = reference.binaryName;
+    bundle.numFunctions = reference.numFunctions;
+    bundle.binaryBytes = reference.binaryBytes;
+    bundle.behavior = reference.behavior;
+    const auto records =
+        static_cast<analysis::FnId>(bundle.behavior.records.size());
+    ASSERT_TRUE(core::decodeBehaviorBundle(
+                    core::encodeBehaviorBundle(bundle))
+                    .has_value());
+
+    std::vector<core::BehaviorBundle> hostile(3, bundle);
+    hostile[0].behavior.customFns.push_back(records);
+    hostile[1].behavior.anchorFns.front() = records + 1000;
+    hostile[2].imageInfo.encoding = static_cast<fw::Encoding>(
+        static_cast<std::uint8_t>(fw::Encoding::Opaque) + 1);
+
+    const std::uint64_t key1 =
+        support::fnv1a(corpus[0].bytes.data(), corpus[0].bytes.size());
+    const std::uint64_t key2 =
+        core::behaviorConfigFingerprint(config.behavior);
+    for (std::size_t i = 0; i < hostile.size(); ++i) {
+        const std::string payload =
+            core::encodeBehaviorBundle(hostile[i]);
+        EXPECT_FALSE(core::decodeBehaviorBundle(payload).has_value())
+            << "variant " << i;
+
+        cache::storeBlob("behavior", key1, key2, payload);
+        cache::resetStats();
+        const auto result =
+            core::FitsPipeline{config}.run(corpus[0].bytes);
+        // The entry was read, rejected, and recomputed from scratch.
+        EXPECT_EQ(cache::stats().diskHits, 1u) << "variant " << i;
+        ASSERT_TRUE(result.ok) << "variant " << i;
+        expectIdenticalRankings(result.inference, reference.inference);
     }
-    ASSERT_TRUE(tested);
-    EXPECT_GE(cache::stats().hits, 1u);
+}
+
+// ---- library tier ------------------------------------------------------
+
+TEST_F(CacheTest, LoadLibrarySharesOneInstancePerContent)
+{
+    const auto corpus = smallCorpus(2);
+    const auto bytes = libcBytes(corpus[0]);
+    ASSERT_FALSE(bytes.empty());
+    ASSERT_EQ(libcBytes(corpus[1]), bytes);
+
+    const auto first = cache::loadLibrary(bytes);
+    ASSERT_TRUE(first);
+    const auto second = cache::loadLibrary(libcBytes(corpus[1]));
+    ASSERT_TRUE(second);
+    EXPECT_EQ(first.value().get(), second.value().get());
+    EXPECT_EQ(cache::stats().misses, 1u);
+    EXPECT_EQ(cache::stats().hits, 1u);
+
+    // Its analyses are shared the same way, per config fingerprint.
+    const analysis::UcseConfig config;
+    const auto fns = cache::functionAnalyses(first.value(), config);
+    EXPECT_EQ(cache::functionAnalyses(second.value(), config), fns);
+    ASSERT_EQ(fns->size(), first.value()->program.size());
+    EXPECT_EQ(fns->front().image, first.value().get());
+
+    // Bytes that do not lift are never cached.
+    const std::vector<std::uint8_t> junk(64, 0xab);
+    EXPECT_FALSE(cache::loadLibrary(junk));
+    EXPECT_FALSE(cache::loadLibrary(junk));
+}
+
+TEST_F(CacheTest, OnlySharedLibrariesStayResident)
+{
+    // Main binaries are unique per sample, so four samples leave
+    // exactly what one does: one libc with its analyses.
+    eval::CorpusRunner::Config config;
+    config.jobs = 1;
+    config.pipeline = cachingPipelineConfig();
+    const eval::CorpusRunner runner(config);
+    (void)runner.runFull(smallCorpus(1));
+    const std::uint64_t oneSample = cache::stats().bytes;
+    ASSERT_GT(oneSample, 0u);
+
+    cache::clearMemory();
+    const auto corpus = smallCorpus(4);
+    const auto cached = runner.runFull(corpus);
+    EXPECT_EQ(cache::stats().bytes, oneSample);
+
+    cache::clearMemory();
+    const auto libc = cache::loadLibrary(libcBytes(corpus[0]));
+    ASSERT_TRUE(libc);
+    (void)cache::functionAnalyses(libc.value(),
+                                  core::PipelineConfig{}.behavior.ucse);
+    EXPECT_EQ(cache::stats().bytes, oneSample);
+
+    cache::Options off;
+    off.memory = false;
+    off.disk = false;
+    cache::configure(off);
+    eval::CorpusRunner::Config rawConfig;
+    rawConfig.jobs = 1;
+    rawConfig.cache = false;
+    const auto raw = eval::CorpusRunner(rawConfig).runFull(corpus);
+    ASSERT_EQ(cached.size(), raw.size());
+    for (std::size_t i = 0; i < cached.size(); ++i) {
+        EXPECT_EQ(cached[i].inference.firstItsRank,
+                  raw[i].inference.firstItsRank);
+        EXPECT_EQ(cached[i].taint.sta.alerts, raw[i].taint.sta.alerts);
+        EXPECT_EQ(cached[i].taint.karonte.alerts,
+                  raw[i].taint.karonte.alerts);
+    }
+}
+
+TEST_F(CacheTest, AdmissionCapComputesButDoesNotStore)
+{
+    bin::BinaryImage libc = synth::generateLibc();
+    const auto bytesA = bin::writeBinary(libc);
+    libc.name = "libc-variant.so";
+    const auto bytesB = bin::writeBinary(libc);
+    ASSERT_NE(bytesA, bytesB);
+    const analysis::UcseConfig config;
+
+    // Footprint of one resident library with its analyses.
+    {
+        const auto a = cache::loadLibrary(bytesA);
+        ASSERT_TRUE(a);
+        (void)cache::functionAnalyses(a.value(), config);
+    }
+    const std::uint64_t oneLibrary = cache::stats().bytes;
+    ASSERT_GT(oneLibrary, 0u);
+    cache::clearMemory();
+
+    // A cap that admits exactly that much: the second library is
+    // lifted and analyzed on every call but never becomes resident.
+    cache::Options options = cache::options();
+    options.maxBytes = oneLibrary;
+    cache::configure(options);
+    const auto a = cache::loadLibrary(bytesA);
+    ASSERT_TRUE(a);
+    const auto aFns = cache::functionAnalyses(a.value(), config);
+    EXPECT_EQ(cache::stats().bytes, oneLibrary);
+
+    const auto b1 = cache::loadLibrary(bytesB);
+    const auto b2 = cache::loadLibrary(bytesB);
+    ASSERT_TRUE(b1);
+    ASSERT_TRUE(b2);
+    EXPECT_NE(b1.value().get(), b2.value().get());
+    const auto bFns = cache::functionAnalyses(b1.value(), config);
+    EXPECT_NE(cache::functionAnalyses(b1.value(), config), bFns);
+    EXPECT_EQ(cache::stats().bytes, oneLibrary);
+    EXPECT_EQ(cache::loadLibrary(bytesA).value().get(), a.value().get());
+    EXPECT_EQ(cache::functionAnalyses(a.value(), config), aFns);
+
+    // Stored or not, every product equals the uncached computation.
+    cache::Options off;
+    off.memory = false;
+    cache::configure(off);
+    const auto raw = cache::loadLibrary(bytesB);
+    ASSERT_TRUE(raw);
+    const auto expected =
+        summarize(*cache::functionAnalyses(raw.value(), config));
+    EXPECT_EQ(summarize(*bFns), expected);
+    EXPECT_EQ(summarize(*aFns), expected);
 }
 
 TEST_F(CacheTest, ColdAndWarmMemoryRankingsIdentical)
@@ -315,25 +514,6 @@ TEST_F(CacheTest, RunFullWithCacheMatchesWithout)
     }
 }
 
-TEST_F(CacheTest, LruEvictionKeepsMemoryBounded)
-{
-    cache::Options options = cache::options();
-    options.maxBytes = 64 * 1024;
-    cache::configure(options);
-
-    const std::string blob(16 * 1024, 'x');
-    for (std::uint64_t i = 0; i < 32; ++i)
-        cache::storeBlob("evict-test", i, i, blob);
-
-    const auto stats = cache::stats();
-    EXPECT_LE(stats.bytes, options.maxBytes);
-    EXPECT_GT(stats.evictions, 0u);
-
-    // The newest entry survived; the oldest was evicted.
-    EXPECT_TRUE(cache::fetchBlob("evict-test", 31, 31).has_value());
-    EXPECT_FALSE(cache::fetchBlob("evict-test", 0, 0).has_value());
-}
-
 // ---- disk tier ---------------------------------------------------------
 
 TEST_F(CacheTest, DiskTierSurvivesProcessMemoryLoss)
@@ -346,7 +526,7 @@ TEST_F(CacheTest, DiskTierSurvivesProcessMemoryLoss)
     const eval::CorpusRunner runner(config);
 
     const auto cold = runner.runInference(corpus);
-    // Dropping the memory tier simulates a fresh process; the second
+    // Dropping the library tier simulates a fresh process; the second
     // run must be served from disk, bit-identically.
     cache::clearMemory();
     cache::resetStats();

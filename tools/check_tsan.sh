@@ -23,9 +23,10 @@ TSAN_OPTIONS="halt_on_error=1" FITS_JOBS=4 "$BUILD/tests/fits_tests" \
 TSAN_OPTIONS="halt_on_error=1" FITS_JOBS=4 "$BUILD/tests/fits_tests" \
     --gtest_filter='ChaosTest.*'
 
-# The analysis cache is shared mutable state under the fan-out:
-# single-flight futures, LRU accounting, and stat counters all see
-# concurrent workers in the parallel-ranking tests.
+# The analysis cache is shared mutable state under the fan-out: the
+# library map (concurrent misses on one library racing to insert),
+# admission-cap accounting, and stat counters all see concurrent
+# workers in the parallel-ranking tests.
 TSAN_OPTIONS="halt_on_error=1" FITS_JOBS=4 "$BUILD/tests/fits_tests" \
     --gtest_filter='CacheTest.*'
 

@@ -472,8 +472,8 @@ cmdCorpus(int argc, char **argv)
     if (!metricsOut.empty())
         obs::setEnabled(true);
     if (!options.cache) {
-        // Turn off every tier, including the in-process one the
-        // pipeline uses for per-image analyses.
+        // Turn off every tier, including the in-process library tier
+        // the pipeline uses for dependency-library analyses.
         cache::Options off;
         off.memory = false;
         off.disk = false;
