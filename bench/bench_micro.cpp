@@ -4,7 +4,9 @@
  * FITS pipeline is built on: FBIN decode/lift, UCSE exploration, CFG +
  * loop analysis, reaching definitions, Table-2 backtracking, DBSCAN,
  * and Eq.-2 scoring. These are the ingredients whose costs compose
- * into the Figure 4 curves.
+ * into the Figure 4 curves. BM_BundleDecode and BM_Hash64 time the
+ * warm behavior-cache hit path instead: bundle decode and the
+ * disk-entry checksum.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,11 +18,13 @@
 #include "obs/metrics.hh"
 #include "binary/fbin.hh"
 #include "core/behavior.hh"
+#include "core/behavior_io.hh"
 #include "core/infer.hh"
 #include "firmware/fwimg.hh"
 #include "firmware/select.hh"
 #include "mlkit/dbscan.hh"
 #include "support/rng.hh"
+#include "support/strings.hh"
 #include "support/thread_pool.hh"
 #include "synth/firmware_gen.hh"
 
@@ -248,6 +252,44 @@ BM_DbscanDuplicates(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DbscanDuplicates);
+
+/** Decode of the shared sample's encoded behavior bundle: the work a
+ * warm behavior-cache hit does after reading and checksumming. */
+void
+BM_BundleDecode(benchmark::State &state)
+{
+    const auto &t = target();
+    const analysis::LinkedProgram linked(*t.main, t.libraries);
+    const auto pa = analysis::ProgramAnalysis::analyze(linked);
+    core::BehaviorBundle bundle;
+    bundle.binaryName = t.main->name;
+    bundle.behavior = core::BehaviorAnalyzer().analyze(pa);
+    const std::string payload = core::encodeBehaviorBundle(bundle);
+    for (auto _ : state) {
+        auto decoded = core::decodeBehaviorBundle(payload);
+        benchmark::DoNotOptimize(decoded);
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_BundleDecode);
+
+/** The disk-cache payload checksum over 1 MiB of seeded bytes. */
+void
+BM_Hash64(benchmark::State &state)
+{
+    support::Rng rng(13);
+    std::string bytes(std::size_t{1} << 20, '\0');
+    for (auto &c : bytes)
+        c = static_cast<char>(rng.next() & 0xff);
+    for (auto _ : state) {
+        auto h = support::hash64(bytes);
+        benchmark::DoNotOptimize(h);
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Hash64);
 
 } // namespace
 

@@ -9,6 +9,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include <unistd.h>
+
 #include "binary/fbin.hh"
 #include "cache/fingerprint.hh"
 #include "chaos/chaos.hh"
@@ -22,9 +24,12 @@ namespace {
 /** Bumps when the meaning of any fingerprint input changes. */
 constexpr std::uint64_t kAnalysisFingerprintVersion = 1;
 
-/** Disk entry format version; a mismatch reads as a miss. */
-constexpr std::uint32_t kDiskFormatVersion = 1;
+/** Disk entry format version; a mismatch reads as a miss. Version 2
+ * checksums the payload with support::hash64 (version 1: fnv1a). */
+constexpr std::uint32_t kDiskFormatVersion = 2;
 constexpr char kDiskMagic[4] = {'F', 'C', 'H', '1'};
+/** Magic, version, both keys, payload size, payload checksum. */
+constexpr std::size_t kDiskHeaderBytes = 4 + 4 + 8 + 8 + 8 + 8;
 
 // ---- counters (lock-free; the mutex below guards only the maps) ----
 
@@ -241,17 +246,22 @@ getU64(std::string_view in, std::size_t &pos, std::uint64_t &v)
     return true;
 }
 
-/** Read + validate one disk entry; nullopt on any defect. */
+/** Read + validate one disk entry; nullopt on any defect. The file is
+ * read whole in one sized read, and the header is erased in place, so
+ * the returned payload is the buffer the bytes were read into. */
 std::optional<std::string>
 readDiskEntry(const std::string &path, std::uint64_t key1,
               std::uint64_t key2)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         return std::nullopt;
-    std::string raw((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-    if (in.bad())
+    const std::streamoff fileSize = in.tellg();
+    if (fileSize < 0)
+        return std::nullopt;
+    std::string raw(static_cast<std::size_t>(fileSize), '\0');
+    in.seekg(0);
+    if (!in.read(raw.data(), fileSize))
         return std::nullopt;
 
     const auto corrupt = [] {
@@ -274,14 +284,17 @@ readDiskEntry(const std::string &path, std::uint64_t key1,
         return corrupt();
     if (raw.size() - pos != size)
         return corrupt();
-    std::string payload = raw.substr(pos);
-    if (support::fnv1a(payload) != checksum)
+    if (support::hash64(std::string_view(raw).substr(pos)) != checksum)
         return corrupt();
-    return payload;
+    raw.erase(0, pos);
+    return raw;
 }
 
 /** Write one disk entry atomically (temp file + rename). Failures are
- * swallowed: a cache store that does not land is just a future miss. */
+ * swallowed: a cache store that does not land is just a future miss.
+ * The temp name is unique per process (pid) and per write within it
+ * (counter), so concurrent writers sharing a cache directory never
+ * write into the same temp file. */
 void
 writeDiskEntry(const std::string &path, std::uint64_t key1,
                std::uint64_t key2, std::string_view payload)
@@ -292,25 +305,28 @@ writeDiskEntry(const std::string &path, std::uint64_t key1,
     if (ec)
         return;
 
-    std::string entry;
-    entry.reserve(40 + payload.size());
-    entry.append(kDiskMagic, 4);
-    putU32(entry, kDiskFormatVersion);
-    putU64(entry, key1);
-    putU64(entry, key2);
-    putU64(entry, payload.size());
-    putU64(entry, support::fnv1a(payload));
-    entry.append(payload);
+    std::string header;
+    header.reserve(kDiskHeaderBytes);
+    header.append(kDiskMagic, 4);
+    putU32(header, kDiskFormatVersion);
+    putU64(header, key1);
+    putU64(header, key2);
+    putU64(header, payload.size());
+    putU64(header, support::hash64(payload));
 
+    static std::atomic<std::uint64_t> tmpCounter{0};
     const std::string tmp = path + support::format(
-        ".tmp.%llu", static_cast<unsigned long long>(
-                         reinterpret_cast<std::uintptr_t>(&entry)));
+        ".tmp.%lld.%llu", static_cast<long long>(::getpid()),
+        static_cast<unsigned long long>(
+            tmpCounter.fetch_add(1, std::memory_order_relaxed)));
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
             return;
-        out.write(entry.data(),
-                  static_cast<std::streamsize>(entry.size()));
+        out.write(header.data(),
+                  static_cast<std::streamsize>(header.size()));
+        out.write(payload.data(),
+                  static_cast<std::streamsize>(payload.size()));
         if (!out) {
             out.close();
             std::filesystem::remove(tmp, ec);

@@ -1,6 +1,8 @@
 #include "behavior_io.hh"
 
 #include <bit>
+#include <cassert>
+#include <cstring>
 
 #include "cache/fingerprint.hh"
 
@@ -14,6 +16,25 @@ namespace {
 constexpr std::uint64_t kBundleFormatVersion = 1;
 
 constexpr char kBundleMagic[4] = {'F', 'B', 'B', '1'};
+
+/** Wire size of a Bfv: six doubles and five flag bytes (putBfv). */
+constexpr std::size_t kBfvWireBytes = 6 * 8 + 5;
+
+/** Fixed-width little-endian load of sizeof(T) bytes at p. */
+template <typename T>
+T
+loadLe(const char *p)
+{
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, sizeof(v));
+    } else {
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            v |= static_cast<T>(static_cast<unsigned char>(p[i]))
+                 << (8 * i);
+    }
+    return v;
+}
 
 // ---- encoding ------------------------------------------------------
 
@@ -54,8 +75,13 @@ void
 putVec(std::string &out, const ml::Vec &v)
 {
     putU32(out, static_cast<std::uint32_t>(v.size()));
-    for (double x : v)
-        putF64(out, x);
+    if constexpr (std::endian::native == std::endian::little) {
+        out.append(reinterpret_cast<const char *>(v.data()),
+                   v.size() * sizeof(double));
+    } else {
+        for (double x : v)
+            putF64(out, x);
+    }
 }
 
 void
@@ -77,87 +103,66 @@ putBfv(std::string &out, const Bfv &bfv)
 
 // ---- decoding ------------------------------------------------------
 
+/** Bounds-checked reader: every accessor checks the bytes it needs
+ * against the bytes that remain, and any failure is sticky (`bad`). */
 struct Cursor
 {
     std::string_view data;
     std::size_t pos = 0;
     bool bad = false;
 
-    std::uint8_t
-    u8()
+    /** The next n bytes, or nullptr (setting `bad`) past the end. */
+    const char *
+    take(std::size_t n)
     {
-        if (bad || data.size() - pos < 1) {
+        if (bad || data.size() - pos < n) {
             bad = true;
-            return 0;
+            return nullptr;
         }
-        return static_cast<unsigned char>(data[pos++]);
+        const char *p = data.data() + pos;
+        pos += n;
+        return p;
     }
 
-    std::uint32_t
-    u32()
+    template <typename T>
+    T
+    fixed()
     {
-        if (bad || data.size() - pos < 4) {
-            bad = true;
-            return 0;
-        }
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(data[pos + i]))
-                 << (8 * i);
-        pos += 4;
-        return v;
+        const char *p = take(sizeof(T));
+        return p != nullptr ? loadLe<T>(p) : T{0};
     }
 
-    std::uint64_t
-    u64()
-    {
-        if (bad || data.size() - pos < 8) {
-            bad = true;
-            return 0;
-        }
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(data[pos + i]))
-                 << (8 * i);
-        pos += 8;
-        return v;
-    }
-
-    double
-    f64()
-    {
-        return std::bit_cast<double>(u64());
-    }
+    std::uint8_t u8() { return fixed<std::uint8_t>(); }
+    std::uint32_t u32() { return fixed<std::uint32_t>(); }
+    std::uint64_t u64() { return fixed<std::uint64_t>(); }
+    double f64() { return std::bit_cast<double>(u64()); }
 
     std::string
     str()
     {
         const std::uint32_t n = u32();
-        if (bad || data.size() - pos < n) {
-            bad = true;
-            return {};
-        }
-        std::string s(data.substr(pos, n));
-        pos += n;
-        return s;
+        const char *p = take(n);
+        return p != nullptr ? std::string(p, n) : std::string();
     }
 
     ml::Vec
     vec()
     {
         const std::uint32_t n = u32();
-        // 8 bytes per element: bound before reserving so a corrupt
-        // count cannot trigger a huge allocation.
-        if (bad || (data.size() - pos) / 8 < n) {
-            bad = true;
+        // 8 bytes per element, bounded by take() before allocating so
+        // a corrupt count cannot trigger a huge allocation.
+        const char *p = take(std::size_t{n} * 8);
+        if (p == nullptr)
             return {};
+        ml::Vec v(n);
+        if constexpr (std::endian::native == std::endian::little) {
+            if (n > 0)
+                std::memcpy(v.data(), p, std::size_t{n} * 8);
+        } else {
+            for (std::uint32_t i = 0; i < n; ++i)
+                v[i] = std::bit_cast<double>(
+                    loadLe<std::uint64_t>(p + std::size_t{i} * 8));
         }
-        ml::Vec v;
-        v.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i)
-            v.push_back(f64());
         return v;
     }
 
@@ -180,12 +185,35 @@ struct Cursor
     }
 };
 
+/** Exact size of encodeBehaviorBundle's output. */
+std::size_t
+encodedSize(const BehaviorBundle &bundle)
+{
+    std::size_t size = 4 + 4;
+    size += 4 + bundle.imageInfo.vendor.size();
+    size += 4 + bundle.imageInfo.product.size();
+    size += 4 + bundle.imageInfo.version.size();
+    size += 1;
+    size += 4 + bundle.binaryName.size() + 8 + 8;
+    const BehaviorRepr &br = bundle.behavior;
+    size += 4;
+    for (const FunctionRecord &rec : br.records) {
+        size += 4 + 8 + 4 + rec.name.size() + 1 + 1 + kBfvWireBytes;
+        size += 4 + rec.augmentedCfg.size() * 8;
+        size += 4 + rec.attributedCfg.size() * 8;
+    }
+    size += 4 + br.customFns.size() * 4;
+    size += 4 + br.anchorFns.size() * 4;
+    return size;
+}
+
 } // namespace
 
 std::string
 encodeBehaviorBundle(const BehaviorBundle &bundle)
 {
     std::string out;
+    out.reserve(encodedSize(bundle));
     out.append(kBundleMagic, 4);
     putU32(out, static_cast<std::uint32_t>(kBundleFormatVersion));
 
@@ -216,6 +244,7 @@ encodeBehaviorBundle(const BehaviorBundle &bundle)
     putU32(out, static_cast<std::uint32_t>(br.anchorFns.size()));
     for (analysis::FnId id : br.anchorFns)
         putU32(out, id);
+    assert(out.size() == encodedSize(bundle));
     return out;
 }
 

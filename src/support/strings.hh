@@ -37,6 +37,15 @@ std::uint64_t fnv1a(std::string_view bytes);
 /** FNV-1a 64-bit hash of a raw byte buffer (same stream as above). */
 std::uint64_t fnv1a(const std::uint8_t *data, std::size_t size);
 
+/**
+ * XXH64 of a byte string at seed 0; stable across platforms. Four
+ * independent 8-byte lanes per 32-byte stripe make it several times
+ * faster than the byte-serial FNV-1a on large buffers, which is why
+ * checksums of large payloads use it. On-disk values depend on it, so
+ * its output must never change.
+ */
+std::uint64_t hash64(std::string_view bytes);
+
 } // namespace fits::support
 
 #endif // FITS_SUPPORT_STRINGS_HH_

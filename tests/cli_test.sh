@@ -63,6 +63,33 @@ for out in corpus_nocache corpus_cold corpus_warm; do
     }
 done
 
+# Two fills racing on one fresh cache directory each write through
+# their own temp files, so neither can tear the other's entries: a
+# third run gets a disk hit for every analyzable sample.
+FITS_JOBS=2 FITS_CACHE_DIR="$DIR/shared" "$FITS" corpus \
+    > "$DIR/fill_a.out" &
+FILL_A=$!
+FITS_JOBS=2 FITS_CACHE_DIR="$DIR/shared" "$FITS" corpus \
+    > "$DIR/fill_b.out"
+wait "$FILL_A"
+FITS_JOBS=2 FITS_CACHE_DIR="$DIR/shared" "$FITS" corpus \
+    --metrics-out "$DIR/shared.json" > "$DIR/shared.out"
+ANALYZABLE=$(sed -n 's/.*"pipeline\.ok": \([0-9]*\).*/\1/p' \
+    "$DIR/shared.json")
+test "${ANALYZABLE:-0}" -gt 0
+grep -q "\"cache.disk.hits\": $ANALYZABLE," "$DIR/shared.json" || {
+    echo "shared cache: not every analyzable sample hit disk" >&2
+    exit 1
+}
+if grep -q '"cache.disk.corrupt"' "$DIR/shared.json" ||
+        ls "$DIR/shared" | grep -q '\.tmp\.'; then
+    echo "shared cache: torn entry or leftover temp file" >&2
+    exit 1
+fi
+grep -v "wall clock\|^cache:\|^metrics written" "$DIR/shared.out" \
+    > "$DIR/shared.cmp"
+cmp "$DIR/corpus.ref" "$DIR/shared.cmp"
+
 # --dir evaluates on-disk images; --metrics-out writes a JSON snapshot
 # with the instrumented pipeline stages and taint counters.
 mkdir "$DIR/corpus"

@@ -596,6 +596,76 @@ TEST_F(CacheTest, CorruptDiskEntriesDegradeToMisses)
     EXPECT_EQ(cache::fetchBlob("t", 7, 9), payload);
 }
 
+TEST_F(CacheTest, FormatVersionSkewRecomputesAndRewritesAsV2)
+{
+    // A version-1 entry (same header layout, FNV-1a payload checksum)
+    // under a real sample's key, as an older build would have left it.
+    enableDisk();
+    const auto corpus = smallCorpus(1);
+    const core::PipelineConfig config = cachingPipelineConfig();
+    const auto reference =
+        core::FitsPipeline{core::PipelineConfig{}}.run(corpus[0].bytes);
+    ASSERT_TRUE(reference.ok);
+    core::BehaviorBundle bundle;
+    bundle.imageInfo = reference.imageInfo;
+    bundle.binaryName = reference.binaryName;
+    bundle.numFunctions = reference.numFunctions;
+    bundle.binaryBytes = reference.binaryBytes;
+    bundle.behavior = reference.behavior;
+    const std::string payload = core::encodeBehaviorBundle(bundle);
+
+    const std::uint64_t key1 =
+        support::fnv1a(corpus[0].bytes.data(), corpus[0].bytes.size());
+    const std::uint64_t key2 =
+        core::behaviorConfigFingerprint(config.behavior);
+    const auto putLe = [](std::string &out, std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i)
+            out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    };
+    std::string v1 = "FCH1";
+    putLe(v1, 1, 4);
+    putLe(v1, key1, 8);
+    putLe(v1, key2, 8);
+    putLe(v1, payload.size(), 8);
+    putLe(v1, support::fnv1a(payload), 8);
+    v1 += payload;
+    const std::string path = cache::blobPath("behavior", key1, key2);
+    fs::create_directories(dir_);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+    }
+
+    // The old entry is corrupt and a miss; the sample is recomputed.
+    const auto cold = core::FitsPipeline{config}.run(corpus[0].bytes);
+    ASSERT_TRUE(cold.ok);
+    EXPECT_EQ(cache::stats().diskCorrupt, 1u);
+    EXPECT_EQ(cache::stats().diskMisses, 1u);
+    EXPECT_EQ(cache::stats().diskHits, 0u);
+    expectIdenticalRankings(cold.inference, reference.inference);
+
+    // ...and stored again in the current format, version 2.
+    std::string rewritten;
+    {
+        std::ifstream in(path, std::ios::binary);
+        rewritten.assign(std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>());
+    }
+    ASSERT_EQ(rewritten.size(), v1.size());
+    EXPECT_EQ(rewritten.compare(0, 4, "FCH1"), 0);
+    EXPECT_EQ(rewritten.substr(4, 4), std::string("\x02\0\0\0", 4));
+    EXPECT_EQ(rewritten.substr(v1.size() - payload.size()), payload);
+
+    // The next run is a disk hit with a bit-identical ranking.
+    cache::clearMemory();
+    cache::resetStats();
+    const auto warm = core::FitsPipeline{config}.run(corpus[0].bytes);
+    ASSERT_TRUE(warm.ok);
+    EXPECT_EQ(cache::stats().diskHits, 1u);
+    EXPECT_EQ(cache::stats().diskCorrupt, 0u);
+    expectIdenticalRankings(warm.inference, reference.inference);
+}
+
 // ---- fault injection ---------------------------------------------------
 
 TEST_F(CacheTest, NonCacheFaultsBypassEveryTier)

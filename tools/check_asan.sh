@@ -18,9 +18,12 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
 # fuzzers (truncated / bit-flipped containers) specifically probe the
 # decoder bounds checks that ASan is best at catching; the DBSCAN
 # oracle sweep drives the duplicate-merging index maps with NaN and
-# signed-zero rows.
+# signed-zero rows; the behavior-bundle oracle sweep drives the bulk
+# decoder's bounds checks with truncated and byte-flipped payloads, and
+# the hash64 pins and the disk-format skew test cover the cache-entry
+# reader.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='ChaosTest.*:Corruption.*:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips:DbscanOracle.*'
+    --gtest_filter='ChaosTest.*:Corruption.*:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips:DbscanOracle.*:BundleOracle.*:Hash64.*:CacheTest.FormatVersionSkew*'
 
 echo "asan: no memory errors detected"
