@@ -33,7 +33,6 @@ FunctionAnalysis::analyze(const bin::BinaryImage &image,
                 fa.loopDepMask |= fa.flow.stmtDeps[b][s];
         }
     }
-    fa.flow.loopDepMask = fa.loopDepMask;
 
     return fa;
 }

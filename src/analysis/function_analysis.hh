@@ -17,8 +17,8 @@ namespace fits::analysis {
  * All per-function analysis artifacts, computed in dependency order:
  * UCSE exploration (resolving indirect targets), the CFG (with resolved
  * indirect jump edges), dominators/loops, constant temporaries,
- * parameter inference, and reaching definitions with parameter
- * dependence (Algorithm 1 lines 2 and 5-8).
+ * parameter inference, and the parameter dependence of every statement
+ * (Algorithm 1 lines 2 and 5-8).
  */
 struct FunctionAnalysis
 {

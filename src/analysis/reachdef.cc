@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_map>
+#include <limits>
 
 #include "chaos/chaos.hh"
 #include "ir/types.hh"
@@ -17,72 +17,237 @@ using ir::Operand;
 using ir::Stmt;
 using ir::StmtKind;
 
-/** Dense bitset over definition ids. */
-class DefSet
+using Mask = std::uint8_t;
+
+/** memSlot of a Load from an unknown address: it reads every cell. */
+constexpr std::uint32_t kAllMemory =
+    std::numeric_limits<std::uint32_t>::max();
+
+/**
+ * Dense slot layout of one function's dataflow state:
+ *
+ *   [0, numRegs)              registers
+ *   [explicitBase, +4)        argument registers, explicit writes only
+ *   unknown                   the unknown memory cell
+ *   (unknown, cellEnd)        one cell per constant Store address
+ *   [cellEnd, carried)        temporaries some block reads before it
+ *                             writes them
+ *   [carried, total)          all other temporaries
+ *
+ * Only slots below `carried` flow between blocks. A temporary that no
+ * block reads before writing is only ever read after a write in the
+ * same block, so its slot is block-local scratch.
+ */
+struct Layout
 {
-  public:
-    explicit DefSet(std::size_t bits = 0)
-        : words_((bits + 63) / 64, 0)
-    {}
+    std::uint32_t explicitBase = 0;
+    std::uint32_t unknown = 0;
+    std::uint32_t cellEnd = 0;
+    std::uint32_t carried = 0;
+    std::uint32_t total = 0;
+    /** Slot of each temporary, by TmpId. */
+    std::vector<std::uint32_t> tmpSlot;
+    /** For each Load/Store (by flattened statement index): its
+     * constant cell, else `unknown`; kAllMemory for a Load from an
+     * unknown address. */
+    std::vector<std::uint32_t> memSlot;
+    /** Flattened index of each block's first statement. */
+    std::vector<std::size_t> blockStart;
 
-    void
-    set(std::size_t i)
-    {
-        words_[i / 64] |= 1ULL << (i % 64);
-    }
+    Layout(const ir::Function &fn, const TmpConstMap &consts);
+};
 
-    void
-    clear(std::size_t i)
-    {
-        words_[i / 64] &= ~(1ULL << (i % 64));
-    }
-
-    bool
-    test(std::size_t i) const
-    {
-        return (words_[i / 64] >> (i % 64)) & 1;
-    }
-
-    /** this |= other; returns true if this changed. */
-    bool
-    unionWith(const DefSet &other)
-    {
-        bool changed = false;
-        for (std::size_t w = 0; w < words_.size(); ++w) {
-            const std::uint64_t merged = words_[w] | other.words_[w];
-            if (merged != words_[w]) {
-                words_[w] = merged;
-                changed = true;
+Layout::Layout(const ir::Function &fn, const TmpConstMap &consts)
+{
+    const std::size_t n = fn.blocks.size();
+    std::size_t numStmts = 0;
+    std::size_t numRegs = ir::kNumRegs;
+    std::size_t numTmps = 0;
+    std::vector<std::uint64_t> cells;
+    blockStart.resize(n);
+    for (std::size_t b = 0; b < n; ++b) {
+        blockStart[b] = numStmts;
+        numStmts += fn.blocks[b].stmts.size();
+        for (const Stmt &stmt : fn.blocks[b].stmts) {
+            numRegs = std::max<std::size_t>(numRegs, stmt.reg + 1u);
+            if (stmt.definesTmp())
+                numTmps = std::max<std::size_t>(numTmps, stmt.dst + 1u);
+            for (const Operand *op : {&stmt.a, &stmt.b}) {
+                if (op->isTmp())
+                    numTmps = std::max<std::size_t>(numTmps, op->tmp + 1u);
+            }
+            if (stmt.kind == StmtKind::Store) {
+                if (auto addr = consts.valueOf(stmt.a))
+                    cells.push_back(*addr);
             }
         }
-        return changed;
+    }
+    std::sort(cells.begin(), cells.end());
+    cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+
+    explicitBase = static_cast<std::uint32_t>(numRegs);
+    unknown = explicitBase + kNumArgRegs;
+    cellEnd = unknown + 1 + static_cast<std::uint32_t>(cells.size());
+
+    // Which temporaries some block reads before writing (the block
+    // that last wrote each one tells), and each Load/Store's cell.
+    std::vector<std::size_t> writer(numTmps, n);
+    std::vector<char> isCarried(numTmps, 0);
+    memSlot.assign(numStmts, unknown);
+    for (std::size_t b = 0; b < n; ++b) {
+        const auto &stmts = fn.blocks[b].stmts;
+        for (std::size_t s = 0; s < stmts.size(); ++s) {
+            const Stmt &stmt = stmts[s];
+            for (const Operand *op : {&stmt.a, &stmt.b}) {
+                if (op->isTmp() && writer[op->tmp] != b)
+                    isCarried[op->tmp] = 1;
+            }
+            if (stmt.definesTmp())
+                writer[stmt.dst] = b;
+            if (stmt.kind != StmtKind::Load &&
+                stmt.kind != StmtKind::Store) {
+                continue;
+            }
+            std::uint32_t &slot = memSlot[blockStart[b] + s];
+            if (auto addr = consts.valueOf(stmt.a)) {
+                const auto it =
+                    std::lower_bound(cells.begin(), cells.end(), *addr);
+                if (it != cells.end() && *it == *addr) {
+                    slot = unknown + 1 +
+                           static_cast<std::uint32_t>(it - cells.begin());
+                }
+            } else if (stmt.kind == StmtKind::Load) {
+                slot = kAllMemory;
+            }
+        }
     }
 
-    /** this &= ~other. */
-    void
-    subtract(const DefSet &other)
-    {
-        for (std::size_t w = 0; w < words_.size(); ++w)
-            words_[w] &= ~other.words_[w];
+    tmpSlot.resize(numTmps);
+    std::uint32_t next = cellEnd;
+    for (std::size_t t = 0; t < numTmps; ++t) {
+        if (isCarried[t])
+            tmpSlot[t] = next++;
     }
-
-    bool
-    operator==(const DefSet &other) const
-    {
-        return words_ == other.words_;
+    carried = next;
+    for (std::size_t t = 0; t < numTmps; ++t) {
+        if (!isCarried[t])
+            tmpSlot[t] = next++;
     }
+    total = next;
+}
 
-  private:
-    std::vector<std::uint64_t> words_;
-};
-
-/** All definitions made by one statement. */
-struct StmtDefs
+/**
+ * Run one block's statements over `state` (sized layout.total, slots
+ * below `carried` holding the block's IN), leaving its OUT there. When
+ * `deps` is given, each statement's use mask is stored into it.
+ */
+void
+transfer(const Layout &layout, const ir::BasicBlock &block,
+         std::size_t start, Mask *state, Mask *deps)
 {
-    // At most two: Call defines the return register and unknown memory.
-    std::uint32_t ids[2];
-    int count = 0;
-};
+    const auto use = [&](const Operand &op) -> Mask {
+        return op.isTmp() ? state[layout.tmpSlot[op.tmp]] : 0;
+    };
+    const auto defineReg = [&](ir::RegId reg, Mask mask) {
+        state[reg] = mask;
+        if (reg < kNumArgRegs)
+            state[layout.explicitBase + reg] = mask;
+    };
+
+    for (std::size_t s = 0; s < block.stmts.size(); ++s) {
+        const Stmt &stmt = block.stmts[s];
+        Mask mask = 0;
+        switch (stmt.kind) {
+          case StmtKind::Get:
+            mask = state[stmt.reg];
+            state[layout.tmpSlot[stmt.dst]] = mask;
+            break;
+          case StmtKind::Put:
+            mask = use(stmt.a);
+            defineReg(stmt.reg, mask);
+            break;
+          case StmtKind::Const:
+            state[layout.tmpSlot[stmt.dst]] = 0;
+            break;
+          case StmtKind::Binop:
+            mask = use(stmt.a) | use(stmt.b);
+            state[layout.tmpSlot[stmt.dst]] = mask;
+            break;
+          case StmtKind::Load: {
+            mask = use(stmt.a) | state[layout.unknown];
+            const std::uint32_t slot = layout.memSlot[start + s];
+            if (slot != kAllMemory) {
+                mask |= state[slot];
+            } else {
+                for (std::uint32_t c = layout.unknown + 1;
+                     c < layout.cellEnd; ++c) {
+                    mask |= state[c];
+                }
+            }
+            state[layout.tmpSlot[stmt.dst]] = mask;
+            break;
+          }
+          case StmtKind::Store: {
+            mask = use(stmt.a) | use(stmt.b);
+            const std::uint32_t slot = layout.memSlot[start + s];
+            if (slot == layout.unknown)
+                state[slot] |= mask; // may-aliases overwrite nothing
+            else
+                state[slot] = mask;
+            break;
+          }
+          case StmtKind::Call:
+            // Explicitly materialized arguments only.
+            for (int r = 0; r < kNumArgRegs; ++r)
+                mask |= state[layout.explicitBase + r];
+            if (stmt.indirect)
+                mask |= use(stmt.a);
+            defineReg(ir::kRetReg, mask);
+            state[layout.unknown] |= mask;
+            break;
+          case StmtKind::Branch:
+            mask = use(stmt.a);
+            break;
+          case StmtKind::Jump:
+            if (stmt.indirect)
+                mask = use(stmt.a);
+            break;
+          case StmtKind::Ret:
+            mask = state[ir::kRetReg];
+            break;
+        }
+        if (deps != nullptr)
+            deps[s] = mask;
+    }
+}
+
+/** The blocks reachable from the entry, in reverse post-order. */
+std::vector<std::size_t>
+visitOrder(const Cfg &cfg, std::size_t n)
+{
+    std::vector<std::size_t> order;
+    order.reserve(n);
+    std::vector<char> seen(n, 0);
+    std::vector<std::pair<std::size_t, std::size_t>> stack;
+    seen[cfg.entry()] = 1;
+    stack.emplace_back(cfg.entry(), 0);
+    while (!stack.empty()) {
+        auto &[b, next] = stack.back();
+        const auto &succs = cfg.succs(b);
+        if (next < succs.size()) {
+            const std::size_t succ = succs[next++];
+            if (!seen[succ]) {
+                seen[succ] = 1;
+                stack.emplace_back(succ, 0);
+            }
+        } else {
+            order.push_back(b);
+            stack.pop_back();
+        }
+    }
+    std::reverse(order.begin(), order.end());
+    return order;
+}
 
 } // namespace
 
@@ -94,394 +259,85 @@ ReachingDefs::analyze(const Cfg &cfg, const ir::Function &fn,
     const obs::ScopedTimer kernelTimer("kernel.reachdef");
     Result result;
     const std::size_t n = fn.blocks.size();
+    result.stmtDeps.resize(n);
+    for (std::size_t b = 0; b < n; ++b)
+        result.stmtDeps[b].assign(fn.blocks[b].stmts.size(), 0);
 
     // Fault injection behaves like a deadline that expired before the
-    // first iteration: every structure below is still fully sized, but
-    // neither fixpoint refines.
+    // first iteration: every vector is sized, every mask is zero.
     result.deadlineExpired = chaos::shouldInject("flow.reachdef");
-    std::size_t tick = 0;
+    if (result.deadlineExpired || n == 0)
+        return result;
 
-    // ---- Collect definitions -------------------------------------
-    // Virtual entry definitions for every argument register first.
-    for (int i = 0; i < kNumArgRegs; ++i) {
-        Definition d;
-        d.target = Definition::Target::Reg;
-        d.reg = static_cast<ir::RegId>(i);
-        d.param = i;
-        result.defs.push_back(d);
-    }
+    const Layout layout(fn, consts);
+    const std::size_t width = layout.carried;
+    std::vector<Mask> out(n * width, 0);
+    std::vector<Mask> state(layout.total, 0);
 
-    // Map (block, stmt) -> def ids.
-    std::vector<std::vector<StmtDefs>> stmtDefs(n);
-    for (std::size_t b = 0; b < n; ++b) {
-        stmtDefs[b].resize(fn.blocks[b].stmts.size());
-        for (std::size_t s = 0; s < fn.blocks[b].stmts.size(); ++s) {
-            const Stmt &stmt = fn.blocks[b].stmts[s];
-            auto add = [&](Definition d) {
-                d.block = b;
-                d.stmt = s;
-                auto &slot = stmtDefs[b][s];
-                slot.ids[slot.count++] =
-                    static_cast<std::uint32_t>(result.defs.size());
-                result.defs.push_back(d);
-            };
-
-            switch (stmt.kind) {
-              case StmtKind::Get:
-              case StmtKind::Const:
-              case StmtKind::Binop:
-              case StmtKind::Load: {
-                Definition d;
-                d.target = Definition::Target::Tmp;
-                d.tmp = stmt.dst;
-                add(d);
-                break;
-              }
-              case StmtKind::Put: {
-                Definition d;
-                d.target = Definition::Target::Reg;
-                d.reg = stmt.reg;
-                add(d);
-                break;
-              }
-              case StmtKind::Store: {
-                Definition d;
-                if (auto addr = consts.valueOf(stmt.a)) {
-                    d.target = Definition::Target::MemConst;
-                    d.memAddr = *addr;
-                } else {
-                    d.target = Definition::Target::MemUnknown;
-                }
-                add(d);
-                break;
-              }
-              case StmtKind::Call: {
-                Definition ret;
-                ret.target = Definition::Target::Reg;
-                ret.reg = ir::kRetReg;
-                add(ret);
-                Definition mem;
-                mem.target = Definition::Target::MemUnknown;
-                add(mem);
-                break;
-              }
-              default:
-                break;
-            }
+    // IN of block b = the entry's parameter seeds (for the entry) OR
+    // the OUT of every predecessor.
+    const auto loadIn = [&](std::size_t b) {
+        std::fill_n(state.begin(), width, Mask{0});
+        if (b == cfg.entry()) {
+            for (int i = 0; i < kNumArgRegs && i < numParams; ++i)
+                state[i] = static_cast<Mask>(1u << i);
         }
-    }
-
-    const std::size_t nDefs = result.defs.size();
-
-    // ---- Index defs by target for kill computation and use lookup --
-    std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> byReg;
-    std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> byTmp;
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> byMem;
-    std::vector<std::uint32_t> memUnknownDefs;
-    std::vector<std::uint32_t> allMemDefs;
-    for (std::uint32_t i = 0; i < nDefs; ++i) {
-        const Definition &d = result.defs[i];
-        switch (d.target) {
-          case Definition::Target::Reg:
-            byReg[d.reg].push_back(i);
-            break;
-          case Definition::Target::Tmp:
-            byTmp[d.tmp].push_back(i);
-            break;
-          case Definition::Target::MemConst:
-            byMem[d.memAddr].push_back(i);
-            allMemDefs.push_back(i);
-            break;
-          case Definition::Target::MemUnknown:
-            memUnknownDefs.push_back(i);
-            allMemDefs.push_back(i);
-            break;
-        }
-    }
-
-    auto killSetOf = [&](std::uint32_t defId, DefSet &kill) {
-        const Definition &d = result.defs[defId];
-        switch (d.target) {
-          case Definition::Target::Reg:
-            for (std::uint32_t other : byReg[d.reg]) {
-                if (other != defId)
-                    kill.set(other);
-            }
-            break;
-          case Definition::Target::Tmp:
-            for (std::uint32_t other : byTmp[d.tmp]) {
-                if (other != defId)
-                    kill.set(other);
-            }
-            break;
-          case Definition::Target::MemConst:
-            for (std::uint32_t other : byMem[d.memAddr]) {
-                if (other != defId)
-                    kill.set(other);
-            }
-            break;
-          case Definition::Target::MemUnknown:
-            break; // may-aliases kill nothing
+        for (std::size_t p : cfg.preds(b)) {
+            const Mask *pout = out.data() + p * width;
+            for (std::size_t k = 0; k < width; ++k)
+                state[k] |= pout[k];
         }
     };
 
-    // ---- Block-level GEN/KILL, then IN/OUT fixpoint ----------------
-    std::vector<DefSet> gen(n, DefSet(nDefs));
-    std::vector<DefSet> kill(n, DefSet(nDefs));
-    for (std::size_t b = 0; b < n; ++b) {
-        for (std::size_t s = 0; s < fn.blocks[b].stmts.size(); ++s) {
-            for (int k = 0; k < stmtDefs[b][s].count; ++k) {
-                const std::uint32_t id = stmtDefs[b][s].ids[k];
-                DefSet dkill(nDefs);
-                killSetOf(id, dkill);
-                gen[b].subtract(dkill);
-                gen[b].set(id);
-                kill[b].unionWith(dkill);
-            }
-        }
-    }
-
-    std::vector<DefSet> in(n, DefSet(nDefs));
-    std::vector<DefSet> out(n, DefSet(nDefs));
-    // The entry receives the virtual parameter definitions.
-    DefSet entryIn(nDefs);
-    for (int i = 0; i < kNumArgRegs; ++i)
-        entryIn.set(static_cast<std::size_t>(i));
-    if (n > 0)
-        in[cfg.entry()] = entryIn;
-
-    // Reverse-post-order worklist instead of round-robin whole-CFG
-    // sweeps: each pop recomputes one block's IN/OUT from its
-    // predecessors and re-enqueues the successors whose input just
-    // changed. The equations are monotone over a finite lattice, so
-    // any processing order converges to the same unique least
-    // fixpoint as the sweeps — RPO seeding just reaches it in
+    // Reverse-post-order worklist: each pop recomputes one block's OUT
+    // from its predecessors and re-enqueues the successors whose input
+    // just changed. The equations are monotone over a finite lattice,
+    // so any order reaches the same least fixpoint; RPO reaches it in
     // near-minimal visits (one pass for acyclic regions). Blocks
-    // unreachable from the entry are seeded too, in index order:
-    // their OUT = GEN \ KILL feeds the IN of any reachable successor
-    // exactly as the sweeps propagated it.
-    if (!result.deadlineExpired && n > 0) {
-        std::vector<std::size_t> order;
-        order.reserve(n);
-        std::vector<char> seen(n, 0);
-        std::vector<std::pair<std::size_t, std::size_t>> stack;
-        seen[cfg.entry()] = 1;
-        stack.emplace_back(cfg.entry(), 0);
-        while (!stack.empty()) {
-            auto &[b, next] = stack.back();
-            const auto &succs = cfg.succs(b);
-            if (next < succs.size()) {
-                const std::size_t succ = succs[next++];
-                if (!seen[succ]) {
-                    seen[succ] = 1;
-                    stack.emplace_back(succ, 0);
-                }
-            } else {
-                order.push_back(b);
-                stack.pop_back();
-            }
-        }
-        std::reverse(order.begin(), order.end());
-        for (std::size_t b = 0; b < n; ++b) {
-            if (!seen[b])
-                order.push_back(b);
-        }
-
-        std::deque<std::size_t> work(order.begin(), order.end());
-        std::vector<char> queued(n, 1);
-        while (!work.empty()) {
-            if (deadline.expiredCoarse(tick++)) {
-                result.deadlineExpired = true;
-                break;
-            }
-            const std::size_t b = work.front();
-            work.pop_front();
-            queued[b] = 0;
-
-            DefSet newIn = b == cfg.entry() ? entryIn : DefSet(nDefs);
-            for (std::size_t p : cfg.preds(b))
-                newIn.unionWith(out[p]);
-            DefSet newOut = newIn;
-            newOut.subtract(kill[b]);
-            newOut.unionWith(gen[b]);
-
-            if (!(newIn == in[b]))
-                in[b] = std::move(newIn);
-            if (!(newOut == out[b])) {
-                out[b] = std::move(newOut);
-                for (std::size_t succ : cfg.succs(b)) {
-                    if (!queued[succ]) {
-                        queued[succ] = 1;
-                        work.push_back(succ);
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- Per-statement use-def chains (the DDG) --------------------
-    result.useDefs.resize(n);
-    result.stmtDeps.resize(n);
-    for (std::size_t b = 0; b < n; ++b) {
-        result.useDefs[b].resize(fn.blocks[b].stmts.size());
-        result.stmtDeps[b].assign(fn.blocks[b].stmts.size(), 0);
-
-        DefSet live = in[b];
-        for (std::size_t s = 0; s < fn.blocks[b].stmts.size(); ++s) {
-            const Stmt &stmt = fn.blocks[b].stmts[s];
-            auto &uses = result.useDefs[b][s];
-
-            auto useReg = [&](ir::RegId r, bool includeVirtual) {
-                auto it = byReg.find(r);
-                if (it == byReg.end())
-                    return;
-                for (std::uint32_t id : it->second) {
-                    if (!live.test(id))
-                        continue;
-                    if (!includeVirtual && result.defs[id].isVirtual())
-                        continue;
-                    uses.push_back(id);
-                }
-            };
-            auto useTmp = [&](const Operand &op) {
-                if (!op.isTmp())
-                    return;
-                auto it = byTmp.find(op.tmp);
-                if (it == byTmp.end())
-                    return;
-                for (std::uint32_t id : it->second) {
-                    if (live.test(id))
-                        uses.push_back(id);
-                }
-            };
-            auto useMem = [&](const Operand &addrOp) {
-                if (auto addr = consts.valueOf(addrOp)) {
-                    auto it = byMem.find(*addr);
-                    if (it != byMem.end()) {
-                        for (std::uint32_t id : it->second) {
-                            if (live.test(id))
-                                uses.push_back(id);
-                        }
-                    }
-                    for (std::uint32_t id : memUnknownDefs) {
-                        if (live.test(id))
-                            uses.push_back(id);
-                    }
-                } else {
-                    // Unknown address: may read any memory cell.
-                    for (std::uint32_t id : allMemDefs) {
-                        if (live.test(id))
-                            uses.push_back(id);
-                    }
-                }
-            };
-
-            switch (stmt.kind) {
-              case StmtKind::Get:
-                useReg(stmt.reg, true);
-                break;
-              case StmtKind::Put:
-                useTmp(stmt.a);
-                break;
-              case StmtKind::Const:
-                break;
-              case StmtKind::Binop:
-                useTmp(stmt.a);
-                useTmp(stmt.b);
-                break;
-              case StmtKind::Load:
-                useTmp(stmt.a);
-                useMem(stmt.a);
-                break;
-              case StmtKind::Store:
-                useTmp(stmt.a);
-                useTmp(stmt.b);
-                break;
-              case StmtKind::Call:
-                // Explicitly materialized arguments only.
-                for (int r = 0; r < kNumArgRegs; ++r)
-                    useReg(static_cast<ir::RegId>(r), false);
-                if (stmt.indirect)
-                    useTmp(stmt.a);
-                break;
-              case StmtKind::Branch:
-                useTmp(stmt.a);
-                break;
-              case StmtKind::Jump:
-                if (stmt.indirect)
-                    useTmp(stmt.a);
-                break;
-              case StmtKind::Ret:
-                useReg(ir::kRetReg, true);
-                break;
-            }
-
-            // Apply this statement's definitions to the running set.
-            for (int k = 0; k < stmtDefs[b][s].count; ++k) {
-                const std::uint32_t id = stmtDefs[b][s].ids[k];
-                DefSet dkill(nDefs);
-                killSetOf(id, dkill);
-                live.subtract(dkill);
-                live.set(id);
-            }
-        }
-    }
-
-    // ---- Parameter dependence over the DDG -------------------------
-    result.defDeps.assign(nDefs, 0);
-    for (int i = 0; i < kNumArgRegs && i < numParams; ++i)
-        result.defDeps[static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(1u << i);
-
-    // def id -> statements that use it.
-    std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
-        defToUses(nDefs);
-    for (std::size_t b = 0; b < n; ++b) {
-        for (std::size_t s = 0; s < result.useDefs[b].size(); ++s) {
-            for (std::uint32_t id : result.useDefs[b][s])
-                defToUses[id].emplace_back(b, s);
-        }
-    }
-
-    // Worklist over statements until the def masks stabilize.
-    std::vector<std::pair<std::size_t, std::size_t>> worklist;
-    if (!result.deadlineExpired) {
-        for (std::size_t b = 0; b < n; ++b) {
-            for (std::size_t s = 0; s < result.useDefs[b].size(); ++s)
-                worklist.emplace_back(b, s);
-        }
-    }
-    while (!worklist.empty()) {
+    // unreachable from the entry are never visited: only other
+    // unreachable blocks feed them, so no parameter reaches them and
+    // their OUT keeps its all-zero start, which is the fixpoint.
+    const auto order = visitOrder(cfg, n);
+    std::deque<std::size_t> work(order.begin(), order.end());
+    std::vector<char> queued(n, 0);
+    for (std::size_t b : order)
+        queued[b] = 1;
+    std::size_t tick = 0;
+    while (!work.empty()) {
         if (deadline.expiredCoarse(tick++)) {
             result.deadlineExpired = true;
-            break;
+            return result;
         }
-        const auto [b, s] = worklist.back();
-        worklist.pop_back();
-        std::uint8_t mask = 0;
-        for (std::uint32_t id : result.useDefs[b][s])
-            mask |= result.defDeps[id];
-        result.stmtDeps[b][s] = mask;
-        for (int k = 0; k < stmtDefs[b][s].count; ++k) {
-            const std::uint32_t id = stmtDefs[b][s].ids[k];
-            const std::uint8_t merged =
-                static_cast<std::uint8_t>(result.defDeps[id] | mask);
-            if (merged != result.defDeps[id]) {
-                result.defDeps[id] = merged;
-                for (const auto &use : defToUses[id])
-                    worklist.push_back(use);
+        const std::size_t b = work.front();
+        work.pop_front();
+        queued[b] = 0;
+
+        loadIn(b);
+        transfer(layout, fn.blocks[b], layout.blockStart[b],
+                 state.data(), nullptr);
+        Mask *bout = out.data() + b * width;
+        if (!std::equal(state.begin(), state.begin() + width, bout)) {
+            std::copy_n(state.begin(), width, bout);
+            for (std::size_t succ : cfg.succs(b)) {
+                if (!queued[succ]) {
+                    queued[succ] = 1;
+                    work.push_back(succ);
+                }
             }
         }
     }
 
-    // Branch dependence summary.
+    // One recording pass over the fixpoint's IN states.
     for (std::size_t b = 0; b < n; ++b) {
-        for (std::size_t s = 0; s < fn.blocks[b].stmts.size(); ++s) {
-            if (fn.blocks[b].stmts[s].kind == StmtKind::Branch)
+        loadIn(b);
+        transfer(layout, fn.blocks[b], layout.blockStart[b],
+                 state.data(), result.stmtDeps[b].data());
+        const auto &stmts = fn.blocks[b].stmts;
+        for (std::size_t s = 0; s < stmts.size(); ++s) {
+            if (stmts[s].kind == StmtKind::Branch)
                 result.branchDepMask |= result.stmtDeps[b][s];
         }
     }
-
     return result;
 }
 

@@ -172,9 +172,9 @@ approxAnalysesBytes(const AnalyzedImage &product)
         std::size_t stmts = 0;
         for (const auto &block : fa.fn->blocks)
             stmts += block.stmts.size();
-        // DDG chains and def sets scale with statement count.
-        total += fa.fn->blocks.size() * 96 + stmts * 48;
-        total += fa.flow.defs.size() * 32;
+        // CFG, loop and per-block mask vectors scale with block
+        // count; the constant map and dependence masks with statements.
+        total += fa.fn->blocks.size() * 96 + stmts * 16;
     }
     return total;
 }

@@ -44,7 +44,7 @@ catalog()
         {"ucse.explore", Stage::Ucse,
          "symbolic exploration aborts before the first step"},
         {"flow.reachdef", Stage::Flow,
-         "reaching-definitions fixpoint aborts early (partial DDG)"},
+         "parameter dataflow aborts before its fixpoint (zero masks)"},
         {"infer.rank", Stage::Infer,
          "inference reports an empty ranking as a failure"},
         {"taint.sta", Stage::Taint,

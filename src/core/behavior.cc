@@ -4,7 +4,6 @@
 
 #include "core/anchors.hh"
 #include "core/representations.hh"
-#include "support/thread_pool.hh"
 
 namespace fits::core {
 
@@ -56,11 +55,7 @@ BehaviorAnalyzer::analyze(const ProgramAnalysis &pa) const
         isAnchorFn[id] = true;
 
     repr.records.resize(n);
-    // Per-function features only read the shared (immutable) analysis
-    // and write the function's own record, so the loop fans out across
-    // config_.jobs workers; iteration order does not affect results.
-    const auto extractRecord = [&](std::size_t idx) {
-        const FnId id = static_cast<FnId>(idx);
+    for (FnId id = 0; id < n; ++id) {
         const auto &ref = linked.fn(id);
         const FunctionAnalysis &fa = pa.fn(id);
         FunctionRecord &rec = repr.records[id];
@@ -115,8 +110,7 @@ BehaviorAnalyzer::analyze(const ProgramAnalysis &pa) const
             }
         }
         bfv.paramsToAnchor = paramsToAnchor;
-    };
-    support::ThreadPool::parallelFor(config_.jobs, n, extractRecord);
+    }
 
     // --- Interprocedural flow features (FF 10-11) -------------------
     // For every call site targeting Fn, backtrack the argument

@@ -87,12 +87,10 @@ BenchRecord::toJson() const
 std::string
 BenchRecord::outputPath() const
 {
-    std::string dir;
-    if (const char *env = std::getenv("FITS_BENCH_DIR")) {
-        dir = env;
-        if (!dir.empty() && dir.back() != '/')
-            dir += '/';
-    }
+    const char *env = std::getenv("FITS_BENCH_DIR");
+    std::string dir = env != nullptr ? env : FITS_BENCH_DEFAULT_DIR;
+    if (!dir.empty() && dir.back() != '/')
+        dir += '/';
     return dir + "BENCH_" + name_ + ".json";
 }
 

@@ -20,7 +20,9 @@ namespace fits::obs {
  * whenever collection is enabled.
  *
  * The record lands in `$FITS_BENCH_DIR` when that variable is set,
- * otherwise in the current working directory.
+ * otherwise in the build tree the library was configured in (never the
+ * current directory, so a filtered run from the repo root cannot
+ * overwrite a committed baseline).
  */
 class BenchRecord
 {
@@ -33,7 +35,7 @@ class BenchRecord
     /** Serialize the record (valid JSON document). */
     std::string toJson() const;
 
-    /** Resolved output path (env dir + BENCH_<name>.json). */
+    /** Resolved output path (dir + BENCH_<name>.json). */
     std::string outputPath() const;
 
     /** Write to outputPath(); prints one status line, returns

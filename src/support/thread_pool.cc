@@ -1,6 +1,5 @@
 #include "thread_pool.hh"
 
-#include <atomic>
 #include <cstdlib>
 #include <exception>
 
@@ -144,48 +143,6 @@ ThreadPool::workerLoop(std::size_t workerIndex)
         if (queue_.empty() && inFlight_ == 0)
             idle_.notify_all();
     }
-}
-
-void
-ThreadPool::parallelFor(std::size_t jobs, std::size_t n,
-                        const std::function<void(std::size_t)> &body)
-{
-    if (jobs <= 1 || n <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            body(i);
-        return;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr firstException;
-    std::mutex exceptionMutex;
-    auto drain = [&] {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            try {
-                body(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(exceptionMutex);
-                if (!firstException)
-                    firstException = std::current_exception();
-            }
-        }
-    };
-
-    std::vector<std::thread> threads;
-    const std::size_t spawned = std::min(jobs, n) - 1;
-    threads.reserve(spawned);
-    for (std::size_t t = 0; t < spawned; ++t)
-        threads.emplace_back(drain);
-    drain(); // the calling thread is worker #0
-    for (auto &thread : threads)
-        thread.join();
-
-    if (firstException)
-        std::rethrow_exception(firstException);
 }
 
 } // namespace fits::support

@@ -57,20 +57,6 @@ class ThreadPool
     /** what() of the first escaped exception ("" if none). */
     std::string firstExceptionMessage() const;
 
-    /**
-     * Run body(0) .. body(n-1) across up to `jobs` worker threads and
-     * block until all calls returned. Indices are claimed dynamically,
-     * so per-index work may run in any order and on any thread; the
-     * caller owns deterministic result placement (write slot i from
-     * body(i)). jobs <= 1 or n <= 1 degrades to a plain serial loop.
-     *
-     * Unlike submit(), an exception thrown by `body` propagates: the
-     * first one is captured and rethrown on the calling thread after
-     * all workers have drained, matching serial-loop semantics.
-     */
-    static void parallelFor(std::size_t jobs, std::size_t n,
-                            const std::function<void(std::size_t)> &body);
-
   private:
     /** A queued task plus its enqueue time (stamped only while
      * metrics collection is enabled; zero otherwise). */

@@ -138,8 +138,6 @@ struct Engine
         const auto &sites = pa.callGraph.sites();
         for (std::size_t s = 0; s < sites.size(); ++s) {
             const auto &site = sites[s];
-            if (site.indirect && !config.resolveIndirectCalls)
-                continue;
             const std::uint64_t key =
                 (static_cast<std::uint64_t>(site.blockIdx) << 32) |
                 site.stmtIdx;
@@ -392,7 +390,7 @@ struct Engine
                 // Conditional side exit: taken -> target block, not
                 // taken -> next statement.
                 const Value cond = evalOp(stmt.a);
-                if (config.constraintSanitization && cond.fromOrderCmp)
+                if (cond.fromOrderCmp)
                     path.checkedMask |= cond.taint;
                 const std::size_t takenIdx =
                     fn.blockIndexAt(stmt.target);
@@ -494,8 +492,7 @@ struct Engine
                     if (arg >= 0 && arg < ir::kNumArgRegs)
                         hit |= path.regs[arg].taint;
                 }
-                if (config.constraintSanitization)
-                    hit &= ~path.checkedMask;
+                hit &= ~path.checkedMask;
                 recordAlert(caller, stmtAddr, *sink, hit);
                 modeled = true;
             }

@@ -57,12 +57,6 @@ class KaronteEngine
         /** Per-(function, block) visit cap across all paths. */
         std::size_t maxVisitsPerBlock = 6;
 
-        /** Treat compare-guarded tainted data as sanitized. */
-        bool constraintSanitization = true;
-
-        /** Follow UCSE-resolved indirect call edges. */
-        bool resolveIndirectCalls = true;
-
         /** Wall-clock budget in milliseconds; 0 = unlimited. On
          * expiry exploration stops and the report carries the alerts
          * found so far with deadlineExpired set. */

@@ -46,6 +46,9 @@ isMemoryWriter(const std::string &name)
     return writers.count(name) != 0;
 }
 
+/** Layout-order passes over a function per visit. */
+constexpr int kPassesPerFunction = 2;
+
 /** Per-function interprocedural summary state. */
 struct FnState
 {
@@ -57,7 +60,6 @@ struct FnState
 struct Engine
 {
     const ProgramAnalysis &pa;
-    const StaEngine::Config &config;
     const std::vector<TaintSource> &sources;
     LabelTable labelTable;
 
@@ -86,9 +88,8 @@ struct Engine
     std::map<std::pair<std::size_t, Addr>, Alert> alerts;
 
     explicit Engine(const ProgramAnalysis &pa_,
-                    const StaEngine::Config &config_,
                     const std::vector<TaintSource> &sources_)
-        : pa(pa_), config(config_), sources(sources_)
+        : pa(pa_), sources(sources_)
     {
         labelTable = buildLabelTable(sources);
         fnStates.resize(pa.linked->fnCount());
@@ -115,8 +116,8 @@ struct Engine
         const auto &sites = pa.callGraph.sites();
         for (std::size_t s = 0; s < sites.size(); ++s) {
             const auto &site = sites[s];
-            if (site.indirect && !config.resolveIndirectCalls)
-                continue;
+            if (site.indirect)
+                continue; // the name-based call graph has no such edge
             const std::uint64_t key =
                 (static_cast<std::uint64_t>(site.blockIdx) << 32) |
                 site.stmtIdx;
@@ -224,8 +225,7 @@ struct Engine
             }
         };
 
-        for (std::size_t pass = 0; pass < config.passesPerFunction;
-             ++pass) {
+        for (int pass = 0; pass < kPassesPerFunction; ++pass) {
             for (int i = 0; i < ir::kNumArgRegs; ++i)
                 regs[i] |= state.paramIn[i];
 
@@ -484,7 +484,7 @@ StaEngine::run(const ProgramAnalysis &pa,
 {
     obs::ScopedTimer runSpan("taint/sta");
 
-    Engine engine(pa, config_, sources);
+    Engine engine(pa, sources);
 
     std::deque<FnId> worklist;
     std::vector<bool> queued(pa.linked->fnCount(), true);

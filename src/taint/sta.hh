@@ -23,22 +23,18 @@ namespace fits::taint {
  *    paper built on, so indirect calls are not followed (Karonte's
  *    symbolic execution does follow them), which is STA's main
  *    false-negative class.
+ *
+ * Each visit to a function runs a fixed two layout-order passes over
+ * its blocks, not a local fixpoint; the whole-program fixpoint revisits
+ * a function whenever its inputs change.
  */
 class StaEngine
 {
   public:
     struct Config
     {
-        /** Follow UCSE-resolved indirect call edges. Off by default:
-         * the paper's STA is built on an IDA CFG/CG without indirect
-         * resolution. */
-        bool resolveIndirectCalls = false;
-
         /** Fixpoint round cap (whole-program sweeps). */
         std::size_t maxRounds = 24;
-
-        /** Per-function layout-order iterations per sweep. */
-        std::size_t passesPerFunction = 2;
 
         /** Wall-clock budget in milliseconds; 0 = unlimited. On
          * expiry the fixpoint stops where it is and the collection

@@ -1,5 +1,5 @@
-/** @file Unit tests for constant maps, parameter inference, reaching
- * definitions (DDG + parameter dependence), and the Table-2
+/** @file Unit tests for constant maps, parameter inference, parameter
+ * dependence (plus the reference DDG it must match), and the Table-2
  * backtracker. */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "analysis/params.hh"
 #include "analysis/reachdef.hh"
 #include "ir/builder.hh"
+#include "reachdef_oracle.hh"
 
 namespace fits::analysis {
 namespace {
@@ -317,12 +318,14 @@ TEST(ReachDef, DefUseChainsPopulated)
     b.put(ir::RegId{4}, Operand::ofTmp(a));
     b.ret();
     FlowFixture f(b.build(0), nullptr, 0);
-    // The PUT uses exactly one definition: t0's.
-    ASSERT_EQ(f.flow.useDefs[0][1].size(), 1u);
-    const Definition &def =
-        f.flow.defs[f.flow.useDefs[0][1][0]];
-    EXPECT_EQ(def.target, Definition::Target::Tmp);
+    // In the reference DDG the PUT uses exactly one definition: t0's.
+    const auto ddg =
+        oracle::referenceReachingDefs(f.cfg, f.fn, f.consts, 0);
+    ASSERT_EQ(ddg.useDefs[0][1].size(), 1u);
+    const oracle::Definition &def = ddg.defs[ddg.useDefs[0][1][0]];
+    EXPECT_EQ(def.target, oracle::Definition::Target::Tmp);
     EXPECT_EQ(def.tmp, a);
+    EXPECT_EQ(ddg.stmtDeps, f.flow.stmtDeps);
 }
 
 // ---- Table-2 backtracker ---------------------------------------------

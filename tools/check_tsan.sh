@@ -12,10 +12,10 @@ BUILD=${1:-"$FITS_ROOT/build-tsan"}
 fits_sanitized_tests "$BUILD" thread
 
 # Exercise the parallel machinery specifically: the thread pool, the
-# corpus runner fan-out, the parallel BFV stage, the logger, and the
-# metrics registry (concurrent instrument updates + snapshots).
+# corpus runner fan-out, the logger, and the metrics registry
+# (concurrent instrument updates + snapshots).
 TSAN_OPTIONS="halt_on_error=1" FITS_JOBS=4 "$BUILD/tests/fits_tests" \
-    --gtest_filter='ThreadPool.*:ParallelFor.*:ResolveJobs.*:CorpusRunner.*:BehaviorAnalyzer.*:Logger.*:Obs*'
+    --gtest_filter='ThreadPool.*:ResolveJobs.*:CorpusRunner.*:Logger.*:Obs*'
 
 # The chaos registry is lock-free (relaxed atomic counters read by
 # concurrent pipeline workers); run the injection sweep under TSan to
