@@ -4,9 +4,10 @@
  * FITS pipeline is built on: FBIN decode/lift, UCSE exploration, CFG +
  * loop analysis, reaching definitions, Table-2 backtracking, DBSCAN,
  * and Eq.-2 scoring. These are the ingredients whose costs compose
- * into the Figure 4 curves. BM_BundleDecode and BM_Hash64 time the
- * warm behavior-cache hit path instead: bundle decode and the
- * disk-entry checksum.
+ * into the Figure 4 curves. BM_StaRun times the STA taint engine on a
+ * standard-corpus sample. BM_BundleDecode and BM_Hash64 time the warm
+ * behavior-cache hit path instead: bundle decode and the disk-entry
+ * checksum.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,12 +21,15 @@
 #include "core/behavior.hh"
 #include "core/behavior_io.hh"
 #include "core/infer.hh"
+#include "core/pipeline.hh"
 #include "firmware/fwimg.hh"
 #include "firmware/select.hh"
 #include "mlkit/dbscan.hh"
 #include "support/rng.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
+#include "synth/profiles.hh"
+#include "taint/sta.hh"
 
 namespace {
 
@@ -236,6 +240,56 @@ BM_DbscanDuplicates(benchmark::State &state)
 }
 BENCHMARK(BM_DbscanDuplicates);
 
+/** The first standard-corpus sample with an ITS, analyzed once, and
+ * its two STA source sets: the classical sources, and those plus the
+ * ground-truth ITSs. */
+struct StaSample
+{
+    core::PipelineArtifact artifact;
+    std::vector<taint::TaintSource> cts;
+    std::vector<taint::TaintSource> ctsPlusIts;
+};
+
+const StaSample &
+staSample()
+{
+    static const StaSample s = [] {
+        const core::FitsPipeline pipeline;
+        for (const auto &spec : synth::standardDataset()) {
+            const auto fw = synth::generateFirmware(spec);
+            if (!fw.truth.hasIts || fw.truth.itsFunctions.empty())
+                continue;
+            StaSample sample{pipeline.analyze(fw.bytes),
+                             taint::classicalTaintSources(), {}};
+            if (!sample.artifact.hasAnalysis())
+                continue;
+            sample.ctsPlusIts = sample.cts;
+            for (ir::Addr entry : fw.truth.itsFunctions)
+                sample.ctsPlusIts.push_back(
+                    taint::TaintSource::its(entry, support::hex(entry)));
+            return sample;
+        }
+        std::abort(); // the standard corpus always has such a sample
+    }();
+    return s;
+}
+
+/** STA over the sample with both source sets, as the corpus
+ * evaluation runs it. */
+void
+BM_StaRun(benchmark::State &state)
+{
+    const StaSample &s = staSample();
+    const taint::StaEngine sta;
+    for (auto _ : state) {
+        auto cts = sta.run(*s.artifact.analysis, s.cts);
+        auto its = sta.run(*s.artifact.analysis, s.ctsPlusIts);
+        benchmark::DoNotOptimize(cts);
+        benchmark::DoNotOptimize(its);
+    }
+}
+BENCHMARK(BM_StaRun);
+
 /** Decode of the shared sample's encoded behavior bundle: the work a
  * warm behavior-cache hit does after reading and checksumming. */
 void
@@ -285,48 +339,81 @@ main(int argc, char **argv)
     const std::size_t run = benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
 
+    const auto &t = target();
+    const fits::analysis::LinkedProgram linked(*t.main, t.libraries);
+    const auto pa = fits::analysis::ProgramAnalysis::analyze(linked);
+    const fits::core::BehaviorAnalyzer analyzer;
+    const auto repr = analyzer.analyze(pa);
+
+    // Spans too short to time once (kernel.rank takes microseconds)
+    // are timed over many calls and recorded as the per-call mean.
+    constexpr int kRepetitions = 1000;
+    fits::obs::Registry::instance().reset();
+    fits::obs::setEnabled(true);
+    for (int i = 0; i < kRepetitions; ++i)
+        benchmark::DoNotOptimize(fits::core::inferIts(repr));
+    const StaSample &sta = staSample();
+    const fits::taint::StaEngine staEngine;
+    for (int i = 0; i < kRepetitions / 10; ++i) {
+        benchmark::DoNotOptimize(
+            staEngine.run(*sta.artifact.analysis, sta.cts));
+        benchmark::DoNotOptimize(
+            staEngine.run(*sta.artifact.analysis, sta.ctsPlusIts));
+    }
+    fits::obs::setEnabled(false);
+    const auto repeated = fits::obs::Registry::instance().snapshot();
+
     // One obs-instrumented pass over the shared sample captures the
     // hot-kernel spans (kernel.reachdef from whole-program analysis,
-    // kernel.cluster / kernel.rank from inference) so BENCH_micro.json
-    // records their absolute cost alongside the benchmark rates.
+    // kernel.cluster from inference) so BENCH_micro.json records their
+    // absolute cost alongside the benchmark rates. The record's
+    // metrics block is this pass's registry.
     fits::obs::Registry::instance().reset();
     fits::obs::setEnabled(true);
     {
-        const auto &t = target();
-        const fits::analysis::LinkedProgram linked(*t.main,
-                                                   t.libraries);
-        const auto pa = fits::analysis::ProgramAnalysis::analyze(linked);
-        const fits::core::BehaviorAnalyzer analyzer;
-        const auto repr = analyzer.analyze(pa);
-        auto result = fits::core::inferIts(repr);
-        benchmark::DoNotOptimize(result);
+        const fits::analysis::LinkedProgram pass(*t.main, t.libraries);
+        const auto passPa = fits::analysis::ProgramAnalysis::analyze(pass);
+        benchmark::DoNotOptimize(
+            fits::core::inferIts(analyzer.analyze(passPa)));
     }
     fits::obs::setEnabled(false);
     const auto snapshot = fits::obs::Registry::instance().snapshot();
 
     fits::obs::BenchRecord record("micro");
     record.add("benchmarks_run", static_cast<double>(run));
+    // Spans nest under their parent ("cluster/kernel.cluster"), so
+    // match the leaf name anywhere in the hierarchy.
+    const auto findSpan = [](const fits::obs::Snapshot &snap,
+                             const std::string &span)
+        -> const fits::obs::Snapshot::TimerView * {
+        for (const auto &[name, view] : snap.timers) {
+            if (name == span ||
+                (name.size() > span.size() &&
+                 name.compare(name.size() - span.size() - 1,
+                              std::string::npos, "/" + span) == 0))
+                return &view;
+        }
+        return nullptr;
+    };
     const auto addKernel = [&](const std::string &key,
                                const std::string &span) {
-        // Spans nest under their parent ("cluster/kernel.cluster"),
-        // so match the leaf name anywhere in the hierarchy.
-        for (const auto &[name, view] : snapshot.timers) {
-            if (name != span &&
-                (name.size() <= span.size() ||
-                 name.compare(name.size() - span.size() - 1,
-                              std::string::npos,
-                              "/" + span) != 0)) {
-                continue;
-            }
-            record.add(key + "_ms", view.totalMs);
-            record.add(key + "_calls",
-                       static_cast<double>(view.count));
-            return;
+        if (const auto *view = findSpan(snapshot, span)) {
+            record.add(key + "_ms", view->totalMs);
+            record.add(key + "_calls", static_cast<double>(view->count));
+        }
+    };
+    const auto addKernelMean = [&](const std::string &key,
+                                   const std::string &span) {
+        if (const auto *view = findSpan(repeated, span)) {
+            record.add(key + "_ms",
+                       view->totalMs / static_cast<double>(view->count));
+            record.add(key + "_calls", static_cast<double>(view->count));
         }
     };
     addKernel("kernel_reachdef", "kernel.reachdef");
     addKernel("kernel_cluster", "kernel.cluster");
-    addKernel("kernel_rank", "kernel.rank");
+    addKernelMean("kernel_rank", "kernel.rank");
+    addKernelMean("kernel_sta", "taint/sta");
     // Work counts of the clustering kernel. Unlike the span times they
     // depend only on the input, not on the machine.
     for (const char *count : {"rows", "distinct_rows", "distance_evals"}) {

@@ -1,7 +1,6 @@
 #include "sta.hh"
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -46,6 +45,16 @@ isMemoryWriter(const std::string &name)
     return writers.count(name) != 0;
 }
 
+/** Whether STA follows a call site into its callee's summaries:
+ * direct calls that resolve to a function of the caller's own image
+ * (the callee's paramIn, retOut and memOut). */
+bool
+followsSite(const analysis::CallSite &site)
+{
+    return !site.indirect && site.resolvesToFunction() &&
+           site.target.library.empty();
+}
+
 /** Layout-order passes over a function per visit. */
 constexpr int kPassesPerFunction = 2;
 
@@ -55,6 +64,17 @@ struct FnState
     Mask paramIn[ir::kNumArgRegs] = {0, 0, 0, 0};
     Mask retOut = 0;
     Mask memOut = 0;
+};
+
+/** What one visit changed in the state other functions read. */
+struct VisitChanges
+{
+    /** The visited function's retOut or memOut grew. */
+    bool summary = false;
+    /** globalUnknown grew. */
+    bool unknown = false;
+    /** Global cells that grew. */
+    std::vector<CellKey> cells;
 };
 
 struct Engine
@@ -75,16 +95,14 @@ struct Engine
     /** ITS FnId -> source index. */
     std::unordered_map<FnId, std::size_t> itsByFn;
 
-    /** Per caller: (block,stmt) -> resolved call-site indices. */
-    std::vector<std::unordered_map<std::uint64_t,
-                                   std::vector<std::size_t>>>
-        siteIndex;
-
     /** ITS call-site label cache: site index -> seed bit. */
     std::unordered_map<std::size_t, Mask> itsSiteLabel;
 
+    /** The fixpoint worklist; queued[id] is true while id is on it. */
+    std::deque<FnId> worklist;
+    std::vector<bool> queued;
+
     std::size_t steps = 0;
-    bool recording = false;
     std::map<std::pair<std::size_t, Addr>, Alert> alerts;
 
     explicit Engine(const ProgramAnalysis &pa_,
@@ -93,7 +111,7 @@ struct Engine
     {
         labelTable = buildLabelTable(sources);
         fnStates.resize(pa.linked->fnCount());
-        siteIndex.resize(pa.linked->fnCount());
+        queued.resize(pa.linked->fnCount(), false);
 
         std::size_t nImages = 0;
         for (FnId id = 0; id < pa.linked->fnCount(); ++id) {
@@ -112,16 +130,14 @@ struct Engine
                     itsByFn[*fnId] = i;
             }
         }
+    }
 
-        const auto &sites = pa.callGraph.sites();
-        for (std::size_t s = 0; s < sites.size(); ++s) {
-            const auto &site = sites[s];
-            if (site.indirect)
-                continue; // the name-based call graph has no such edge
-            const std::uint64_t key =
-                (static_cast<std::uint64_t>(site.blockIdx) << 32) |
-                site.stmtIdx;
-            siteIndex[site.caller][key].push_back(s);
+    void
+    enqueue(FnId id)
+    {
+        if (!queued[id]) {
+            queued[id] = true;
+            worklist.push_back(id);
         }
     }
 
@@ -166,7 +182,7 @@ struct Engine
     recordAlert(FnId inFn, Addr sinkSite, const SinkSpec &sink,
                 Mask mask)
     {
-        if (!recording || mask == 0)
+        if (mask == 0)
             return;
         const auto key = std::make_pair(imageOf(inFn), sinkSite);
         auto it = alerts.find(key);
@@ -188,20 +204,25 @@ struct Engine
     }
 
     /**
-     * One dataflow pass over a function. Returns true if the
-     * function's externally visible summary (retOut/memOut), the
-     * global memory state, or any callee's paramIn changed.
+     * One visit to a function: kPassesPerFunction layout-order passes.
+     * Callees whose paramIn grows are enqueued here; what else grew
+     * (the function's retOut/memOut, global cells, the unknown bucket)
+     * is reported in `changed` for the driver to requeue the readers.
      */
-    bool
-    analyzeFunction(FnId id, std::deque<FnId> &worklist,
-                    std::vector<bool> &queued)
+    void
+    analyzeFunction(FnId id, VisitChanges &changed)
     {
         const auto &fa = pa.fn(id);
         const ir::Function &fn = *fa.fn;
         FnState &state = fnStates[id];
         const std::size_t myImage = imageOf(id);
-
-        bool externallyChanged = false;
+        // Call sites of this function, grouped by caller and ordered
+        // by (block, stmt): each pass walks them with a cursor.
+        const auto &mySites = pa.callGraph.sitesOfCaller(id);
+        const auto sitePos = [&](std::size_t i) {
+            const auto &site = pa.callGraph.sites()[mySites[i]];
+            return std::make_pair(site.blockIdx, site.stmtIdx);
+        };
 
         std::vector<Mask> tmps(fn.numTmps, 0);
         Mask regs[ir::kNumRegs] = {};
@@ -218,16 +239,10 @@ struct Engine
             return op.tmp < tmps.size() ? tmps[op.tmp] : 0;
         };
 
-        auto enqueue = [&](FnId callee) {
-            if (!queued[callee]) {
-                queued[callee] = true;
-                worklist.push_back(callee);
-            }
-        };
-
         for (int pass = 0; pass < kPassesPerFunction; ++pass) {
             for (int i = 0; i < ir::kNumArgRegs; ++i)
                 regs[i] |= state.paramIn[i];
+            std::size_t cursor = 0;
 
             for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
                 const auto &block = fn.blocks[b];
@@ -291,18 +306,29 @@ struct Engine
                         }
                         break;
                       }
-                      case StmtKind::Call:
+                      case StmtKind::Call: {
+                        const auto here = std::make_pair(b, s);
+                        while (cursor < mySites.size() &&
+                               sitePos(cursor) < here)
+                            ++cursor;
+                        std::size_t last = cursor;
+                        while (last < mySites.size() &&
+                               sitePos(last) == here)
+                            ++last;
                         handleCall(id, b, s, block.stmtAddr(s), fa,
-                                   tmps, regs, localMem, localUnknown,
-                                   pendingCells, pendingUnknown,
-                                   enqueue);
+                                   mySites.data() + cursor,
+                                   mySites.data() + last, regs,
+                                   localMem, localUnknown, pendingCells,
+                                   pendingUnknown);
+                        cursor = last;
                         break;
+                      }
                       case StmtKind::Ret:
                         if (regs[ir::kRetReg] != 0 &&
                             (state.retOut | regs[ir::kRetReg]) !=
                                 state.retOut) {
                             state.retOut |= regs[ir::kRetReg];
-                            externallyChanged = true;
+                            changed.summary = true;
                         }
                         break;
                       default:
@@ -314,149 +340,147 @@ struct Engine
 
         if ((state.memOut | localUnknown) != state.memOut) {
             state.memOut |= localUnknown;
-            externallyChanged = true;
+            changed.summary = true;
         }
 
         for (const auto &[key, mask] : pendingCells) {
             Mask &cell = globalCells[key];
             if ((cell | mask) != cell) {
                 cell |= mask;
-                externallyChanged = true;
+                changed.cells.push_back(key);
             }
         }
         if ((globalUnknown | pendingUnknown) != globalUnknown) {
             globalUnknown |= pendingUnknown;
-            externallyChanged = true;
+            changed.unknown = true;
         }
-
-        return externallyChanged;
     }
 
+    /** One Call statement; [firstSite, lastSite) are the indices of
+     * its call sites. Indirect sites are skipped: the name-based call
+     * graph has no such edge. */
     void
     handleCall(FnId caller, std::size_t blockIdx, std::size_t stmtIdx,
                Addr stmtAddr, const analysis::FunctionAnalysis &fa,
-               std::vector<Mask> &tmps, Mask regs[],
+               const std::size_t *firstSite,
+               const std::size_t *lastSite, Mask regs[],
                std::unordered_map<CellKey, Mask> &localMem,
                Mask &localUnknown,
                std::unordered_map<CellKey, Mask> &pendingCells,
-               Mask &pendingUnknown,
-               const std::function<void(FnId)> &enqueue)
+               Mask &pendingUnknown)
     {
-        (void)tmps;
         const std::size_t myImage = imageOf(caller);
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(blockIdx) << 32) | stmtIdx;
-        auto sitesIt = siteIndex[caller].find(key);
 
         Mask retMask = 0;
         const Mask argUnion =
             regs[0] | regs[1] | regs[2] | regs[3];
 
-        if (sitesIt != siteIndex[caller].end()) {
-            for (std::size_t siteIdx : sitesIt->second) {
-                const auto &site = pa.callGraph.sites()[siteIdx];
-                const std::string &name = site.target.name;
+        for (const std::size_t *it = firstSite; it != lastSite; ++it) {
+            const std::size_t siteIdx = *it;
+            const auto &site = pa.callGraph.sites()[siteIdx];
+            if (site.indirect)
+                continue;
+            const std::string &name = site.target.name;
 
-                // Sink check first: the call consumes its arguments.
-                if (const SinkSpec *sink = sinkByName(name)) {
-                    Mask hit = 0;
-                    for (int arg : sink->taintedArgs) {
-                        if (arg >= 0 && arg < ir::kNumArgRegs)
-                            hit |= regs[arg];
-                    }
-                    recordAlert(caller, stmtAddr, *sink, hit);
+            // Sink check first: the call consumes its arguments.
+            if (const SinkSpec *sink = sinkByName(name)) {
+                Mask hit = 0;
+                for (int arg : sink->taintedArgs) {
+                    if (arg >= 0 && arg < ir::kNumArgRegs)
+                        hit |= regs[arg];
                 }
+                recordAlert(caller, stmtAddr, *sink, hit);
+            }
 
-                // CTS seeding.
-                auto cts = name.empty() ? ctsByName.end()
-                                        : ctsByName.find(name);
-                if (cts != ctsByName.end()) {
-                    const TaintSource &src = sources[cts->second];
-                    const Mask label =
-                        labelTable.bySource[cts->second].userBit;
-                    if (src.origin == TaintSource::Origin::ReturnValue) {
-                        retMask |= label;
-                    } else {
-                        const int argIdx = src.pointerArg;
-                        bool resolved = false;
-                        if (argIdx >= 0 && argIdx < ir::kNumArgRegs) {
-                            const auto tracker = fa.backtracker();
-                            for (std::uint64_t addr :
-                                 tracker.resolveArg(blockIdx, stmtIdx,
-                                                    argIdx)) {
-                                for (Addr off = 0;
-                                     off < kPointerSeedRange; ++off) {
-                                    const CellKey cell =
-                                        cellKey(myImage, addr + off);
-                                    localMem[cell] = label;
-                                    pendingCells[cell] |= label;
-                                }
-                                resolved = true;
-                            }
-                        }
-                        if (!resolved) {
-                            localUnknown |= label;
-                            pendingUnknown |= label;
-                        }
-                    }
-                }
-
-                if (site.resolvesToFunction() &&
-                    site.target.library.empty()) {
-                    // Custom (same-image) callee: propagate parameter
-                    // taint and pick up its summary.
-                    const FnId callee = site.target.fn;
-                    FnState &cs = fnStates[callee];
-                    const int calleeParams =
-                        pa.fn(callee).params.count;
-                    bool changed = false;
-                    for (int i = 0; i < calleeParams; ++i) {
-                        if ((cs.paramIn[i] | regs[i]) !=
-                            cs.paramIn[i]) {
-                            cs.paramIn[i] |= regs[i];
-                            changed = true;
-                        }
-                    }
-                    if (changed)
-                        enqueue(callee);
-                    retMask |= cs.retOut;
-                    localUnknown |= cs.memOut;
-
-                    // ITS seeding: the verified taint origin is the
-                    // return register of the ITS.
-                    auto its = itsByFn.find(callee);
-                    if (its != itsByFn.end())
-                        retMask |= itsLabelAt(siteIdx, its->second);
-                } else if (site.resolvesToFunction()) {
-                    // Library function with an implementation: treat
-                    // as a model (anchor semantics): taint flows from
-                    // arguments to the return value, and for memory
-                    // writers into the destination buffer.
-                    retMask |= argUnion;
-                    if (isMemoryWriter(name)) {
-                        const Mask srcMask =
-                            regs[1] | regs[2] | regs[3];
+            // CTS seeding.
+            auto cts = name.empty() ? ctsByName.end()
+                                    : ctsByName.find(name);
+            if (cts != ctsByName.end()) {
+                const TaintSource &src = sources[cts->second];
+                const Mask label =
+                    labelTable.bySource[cts->second].userBit;
+                if (src.origin == TaintSource::Origin::ReturnValue) {
+                    retMask |= label;
+                } else {
+                    const int argIdx = src.pointerArg;
+                    bool resolved = false;
+                    if (argIdx >= 0 && argIdx < ir::kNumArgRegs) {
                         const auto tracker = fa.backtracker();
-                        bool resolved = false;
                         for (std::uint64_t addr :
                              tracker.resolveArg(blockIdx, stmtIdx,
-                                                0)) {
-                            const CellKey cell =
-                                cellKey(myImage, addr);
-                            localMem[cell] = srcMask;
-                            if (srcMask != 0)
-                                pendingCells[cell] |= srcMask;
+                                                argIdx)) {
+                            for (Addr off = 0;
+                                 off < kPointerSeedRange; ++off) {
+                                const CellKey cell =
+                                    cellKey(myImage, addr + off);
+                                localMem[cell] = label;
+                                pendingCells[cell] |= label;
+                            }
                             resolved = true;
                         }
-                        if (!resolved && srcMask != 0) {
-                            localUnknown |= srcMask;
-                            pendingUnknown |= srcMask;
-                        }
                     }
-                } else {
-                    // External import without implementation.
-                    retMask |= argUnion;
+                    if (!resolved) {
+                        localUnknown |= label;
+                        pendingUnknown |= label;
+                    }
                 }
+            }
+
+            if (site.resolvesToFunction() &&
+                site.target.library.empty()) {
+                // Custom (same-image) callee: propagate parameter
+                // taint and pick up its summary.
+                const FnId callee = site.target.fn;
+                FnState &cs = fnStates[callee];
+                const int calleeParams =
+                    pa.fn(callee).params.count;
+                bool changed = false;
+                for (int i = 0; i < calleeParams; ++i) {
+                    if ((cs.paramIn[i] | regs[i]) !=
+                        cs.paramIn[i]) {
+                        cs.paramIn[i] |= regs[i];
+                        changed = true;
+                    }
+                }
+                if (changed)
+                    enqueue(callee);
+                retMask |= cs.retOut;
+                localUnknown |= cs.memOut;
+
+                // ITS seeding: the verified taint origin is the
+                // return register of the ITS.
+                auto its = itsByFn.find(callee);
+                if (its != itsByFn.end())
+                    retMask |= itsLabelAt(siteIdx, its->second);
+            } else if (site.resolvesToFunction()) {
+                // Library function with an implementation: treat
+                // as a model (anchor semantics): taint flows from
+                // arguments to the return value, and for memory
+                // writers into the destination buffer.
+                retMask |= argUnion;
+                if (isMemoryWriter(name)) {
+                    const Mask srcMask =
+                        regs[1] | regs[2] | regs[3];
+                    const auto tracker = fa.backtracker();
+                    bool resolved = false;
+                    for (std::uint64_t addr :
+                         tracker.resolveArg(blockIdx, stmtIdx,
+                                            0)) {
+                        const CellKey cell =
+                            cellKey(myImage, addr);
+                        localMem[cell] = srcMask;
+                        if (srcMask != 0)
+                            pendingCells[cell] |= srcMask;
+                        resolved = true;
+                    }
+                    if (!resolved && srcMask != 0) {
+                        localUnknown |= srcMask;
+                        pendingUnknown |= srcMask;
+                    }
+                }
+            } else {
+                // External import without implementation.
+                retMask |= argUnion;
             }
         }
 
@@ -466,45 +490,83 @@ struct Engine
     }
 };
 
-} // namespace
-
-StaEngine::StaEngine()
-    : config_()
+/** Who reads the state a visit can change. */
+struct Readers
 {
-}
+    /** Per function: its distinct callers (they read its retOut and
+     * memOut). */
+    std::vector<std::vector<FnId>> callers;
+    /** Global cell -> functions with a constant-address Load of it.
+     * Such loads have no call-graph edge. */
+    std::unordered_map<CellKey, std::vector<FnId>> cellReaders;
+    /** Functions with any Load: they all read globalUnknown. */
+    std::vector<FnId> loaders;
+};
 
-StaEngine::StaEngine(Config config)
-    : config_(config)
+Readers
+buildReaders(const Engine &engine)
 {
+    const ProgramAnalysis &pa = engine.pa;
+    Readers readers;
+    readers.callers.resize(pa.linked->fnCount());
+    // Sites are grouped by caller, so duplicates are adjacent.
+    for (const auto &site : pa.callGraph.sites()) {
+        if (!followsSite(site))
+            continue;
+        auto &callers = readers.callers[site.target.fn];
+        if (callers.empty() || callers.back() != site.caller)
+            callers.push_back(site.caller);
+    }
+    for (FnId id = 0; id < pa.linked->fnCount(); ++id) {
+        const auto &fa = pa.fn(id);
+        const std::size_t image = engine.imageOf(id);
+        bool loads = false;
+        for (const auto &block : fa.fn->blocks) {
+            for (const Stmt &stmt : block.stmts) {
+                if (stmt.kind != StmtKind::Load)
+                    continue;
+                loads = true;
+                if (auto addr = fa.consts.valueOf(stmt.a)) {
+                    auto &cell =
+                        readers.cellReaders[cellKey(image, *addr)];
+                    if (cell.empty() || cell.back() != id)
+                        cell.push_back(id);
+                }
+            }
+        }
+        if (loads)
+            readers.loaders.push_back(id);
+    }
+    return readers;
 }
 
 TaintReport
-StaEngine::run(const ProgramAnalysis &pa,
-               const std::vector<TaintSource> &sources) const
+runSta(const StaEngine::Config &config, const ProgramAnalysis &pa,
+       const std::vector<TaintSource> &sources,
+       const std::vector<FnId> *schedule)
 {
     obs::ScopedTimer runSpan("taint/sta");
 
     Engine engine(pa, sources);
-
-    std::deque<FnId> worklist;
-    std::vector<bool> queued(pa.linked->fnCount(), true);
-    for (FnId id = 0; id < pa.linked->fnCount(); ++id)
-        worklist.push_back(id);
+    const std::size_t n = pa.linked->fnCount();
+    for (FnId id : schedule != nullptr ? *schedule : staBottomUpOrder(pa))
+        engine.enqueue(id);
+    const Readers readers = buildReaders(engine);
 
     const support::Deadline deadline =
-        config_.deadlineMs > 0.0
-            ? support::Deadline::afterMs(config_.deadlineMs)
+        config.deadlineMs > 0.0
+            ? support::Deadline::afterMs(config.deadlineMs)
             : support::Deadline::never();
     bool expired = chaos::shouldInject("taint.sta");
     if (expired)
-        worklist.clear();
+        engine.worklist.clear();
 
     std::size_t processed = 0;
     const std::size_t cap =
-        config_.maxRounds * std::max<std::size_t>(
-                                1, pa.linked->fnCount());
+        config.maxRounds * std::max<std::size_t>(1, n);
     bool exhausted = false;
-    while (!worklist.empty()) {
+    VisitChanges changed;
+    while (!engine.worklist.empty()) {
         if (processed++ > cap) {
             exhausted = true;
             break;
@@ -513,32 +575,39 @@ StaEngine::run(const ProgramAnalysis &pa,
             expired = true;
             break;
         }
-        const FnId id = worklist.front();
-        worklist.pop_front();
-        queued[id] = false;
-        if (engine.analyzeFunction(id, worklist, queued)) {
-            // The function's summary or the global memory state
-            // changed: anything may observe it (loads from global
-            // cells have no call-graph edge), so requeue everything
-            // still unqueued. The round cap bounds the fixpoint.
-            for (FnId other = 0; other < pa.linked->fnCount();
-                 ++other) {
-                if (!queued[other]) {
-                    queued[other] = true;
-                    worklist.push_back(other);
-                }
-            }
+        const FnId id = engine.worklist.front();
+        engine.worklist.pop_front();
+        engine.queued[id] = false;
+        changed.summary = changed.unknown = false;
+        changed.cells.clear();
+        engine.analyzeFunction(id, changed);
+        // Requeue exactly the functions that read what grew.
+        if (changed.summary) {
+            for (FnId caller : readers.callers[id])
+                engine.enqueue(caller);
+        }
+        for (CellKey key : changed.cells) {
+            auto it = readers.cellReaders.find(key);
+            if (it == readers.cellReaders.end())
+                continue;
+            for (FnId reader : it->second)
+                engine.enqueue(reader);
+        }
+        if (changed.unknown) {
+            for (FnId loader : readers.loaders)
+                engine.enqueue(loader);
         }
     }
 
     const std::size_t fixpointSteps = engine.steps;
 
-    // Collection sweep: state is at (or near) fixpoint; record alerts.
-    engine.recording = true;
-    std::deque<FnId> dummy;
-    std::vector<bool> dummyQueued(pa.linked->fnCount(), true);
-    for (FnId id = 0; id < pa.linked->fnCount(); ++id)
-        engine.analyzeFunction(id, dummy, dummyQueued);
+    // Every visit records its alerts, and at the fixpoint each
+    // function's last visit saw its final inputs. Only a fixpoint cut
+    // short needs the collection sweep over the partial state.
+    if (expired || exhausted) {
+        for (FnId id = 0; id < n; ++id)
+            engine.analyzeFunction(id, changed);
+    }
 
     TaintReport report;
     report.labels = engine.labelTable.labels;
@@ -563,6 +632,99 @@ StaEngine::run(const ProgramAnalysis &pa,
             obs::addCounter("taint.sta.deadline_expired");
     }
     return report;
+}
+
+} // namespace
+
+std::vector<FnId>
+staBottomUpOrder(const ProgramAnalysis &pa)
+{
+    // Tarjan's algorithm with an explicit DFS stack. It completes each
+    // SCC after every SCC it calls into, so emitting members as their
+    // SCC completes yields callees first.
+    const std::size_t n = pa.linked->fnCount();
+    const auto &sites = pa.callGraph.sites();
+    constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> index(n, kUnvisited), low(n, 0);
+    std::vector<bool> onStack(n, false);
+    std::vector<FnId> sccStack, order;
+    order.reserve(n);
+
+    struct Frame
+    {
+        FnId fn;
+        const std::vector<std::size_t> *out; ///< sitesOfCaller(fn)
+        std::size_t next;
+    };
+    std::vector<Frame> frames;
+    std::size_t counter = 0;
+    const auto discover = [&](FnId v) {
+        index[v] = low[v] = counter++;
+        sccStack.push_back(v);
+        onStack[v] = true;
+        frames.push_back({v, &pa.callGraph.sitesOfCaller(v), 0});
+    };
+
+    for (FnId root = 0; root < n; ++root) {
+        if (index[root] != kUnvisited)
+            continue;
+        discover(root);
+        while (!frames.empty()) {
+            Frame &top = frames.back();
+            const FnId v = top.fn;
+            if (top.next < top.out->size()) {
+                const auto &site = sites[(*top.out)[top.next++]];
+                if (!followsSite(site))
+                    continue;
+                const FnId w = site.target.fn;
+                if (index[w] == kUnvisited)
+                    discover(w);
+                else if (onStack[w])
+                    low[v] = std::min(low[v], index[w]);
+                continue;
+            }
+            frames.pop_back();
+            if (!frames.empty()) {
+                const FnId parent = frames.back().fn;
+                low[parent] = std::min(low[parent], low[v]);
+            }
+            if (low[v] == index[v]) {
+                FnId w;
+                do {
+                    w = sccStack.back();
+                    sccStack.pop_back();
+                    onStack[w] = false;
+                    order.push_back(w);
+                } while (w != v);
+            }
+        }
+    }
+    return order;
+}
+
+StaEngine::StaEngine()
+    : config_()
+{
+}
+
+StaEngine::StaEngine(Config config)
+    : config_(config)
+{
+}
+
+TaintReport
+StaEngine::run(const ProgramAnalysis &pa,
+               const std::vector<TaintSource> &sources) const
+{
+    return runSta(config_, pa, sources, nullptr);
+}
+
+TaintReport
+StaEngine::runScheduled(const ProgramAnalysis &pa,
+                        const std::vector<TaintSource> &sources,
+                        const std::vector<FnId> &schedule) const
+{
+    return runSta(config_, pa, sources, &schedule);
 }
 
 } // namespace fits::taint

@@ -7,12 +7,20 @@
 namespace fits::taint {
 
 /**
+ * Every function of `pa`, callees first: the strongly connected
+ * components of the call graph STA follows (direct calls that resolve
+ * to a function of the caller's image) in reverse topological order.
+ */
+std::vector<analysis::FnId>
+staBottomUpOrder(const analysis::ProgramAnalysis &pa);
+
+/**
  * STA: the static taint analysis engine of §3.4. A whole-program,
  * summary-propagating dataflow over FIR: taint labels flow through
  * registers, temporaries, addressable memory cells and an "unknown"
  * memory bucket; functions expose parameter-in / return-out / memory-out
- * masks and the engine iterates the call graph to a fixpoint, then
- * sweeps once more to collect sink alerts.
+ * masks and the engine iterates the call graph to a fixpoint, recording
+ * sink alerts at every visit.
  *
  * Two deliberate precision properties reproduce the paper's findings:
  *  - sanitization is data-only (storing constants over tainted memory
@@ -25,21 +33,33 @@ namespace fits::taint {
  *    false-negative class.
  *
  * Each visit to a function runs a fixed two layout-order passes over
- * its blocks, not a local fixpoint; the whole-program fixpoint revisits
- * a function whenever its inputs change.
+ * its blocks, not a local fixpoint. The whole-program fixpoint starts
+ * from a callees-first order (staBottomUpOrder) and revisits a function
+ * only when one of its inputs grows: its paramIn (a caller passed new
+ * taint), a callee's retOut or memOut, a global cell it loads from a
+ * constant address, or the global unknown bucket if it loads at all.
+ * Every input and output is an OR-monotone mask, so any such schedule
+ * reaches the same least fixpoint, and each function's last visit sees
+ * its final inputs; the alerts recorded along the way are therefore
+ * those of the fixpoint state. Only a fixpoint cut short (deadline,
+ * fault injection, round cap) adds a collection sweep over every
+ * function in FnId order.
  */
 class StaEngine
 {
   public:
     struct Config
     {
-        /** Fixpoint round cap (whole-program sweeps). */
+        /** Fixpoint visit cap, in visits per function. Reaching it
+         * stops the fixpoint, sets budgetExhausted and runs the
+         * collection sweep. */
         std::size_t maxRounds = 24;
 
         /** Wall-clock budget in milliseconds; 0 = unlimited. On
-         * expiry the fixpoint stops where it is and the collection
-         * sweep still runs, so the report carries partial alerts with
-         * deadlineExpired set. */
+         * expiry the fixpoint stops where it is and a collection sweep
+         * over every function records the alerts of the partial state
+         * (the sweep runs only when the fixpoint is cut short), so the
+         * report carries partial alerts with deadlineExpired set. */
         double deadlineMs = 0.0;
     };
 
@@ -49,6 +69,14 @@ class StaEngine
     /** Run taint analysis with the given sources. */
     TaintReport run(const analysis::ProgramAnalysis &pa,
                     const std::vector<TaintSource> &sources) const;
+
+    /** run() with an explicit initial worklist instead of
+     * staBottomUpOrder(pa): `schedule` lists every FnId once. The
+     * alerts do not depend on it; only the work done does. */
+    TaintReport
+    runScheduled(const analysis::ProgramAnalysis &pa,
+                 const std::vector<TaintSource> &sources,
+                 const std::vector<analysis::FnId> &schedule) const;
 
   private:
     Config config_;

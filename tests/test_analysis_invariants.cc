@@ -65,10 +65,12 @@ TEST_P(InvariantSweep, LoopBlocksAreReachableAndConsistent)
         // reachable; headers dominate their latches.
         EXPECT_EQ(fa.loops.hasLoop(), !fa.loops.backEdges.empty());
         for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-            if (fa.loops.inLoop[b])
+            if (fa.loops.inLoop[b]) {
                 EXPECT_TRUE(reachable[b]);
-            if (fa.loops.controlsLoop[b])
+            }
+            if (fa.loops.controlsLoop[b]) {
                 EXPECT_TRUE(fa.loops.inLoop[b]);
+            }
         }
         for (const auto &[latch, header] : fa.loops.backEdges) {
             EXPECT_TRUE(fa.loops.dominates(header, latch));

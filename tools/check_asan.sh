@@ -23,9 +23,11 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
 # the hash64 pins and the disk-format skew test cover the cache-entry
 # reader; the reaching-definitions oracle sweep drives the parameter
 # dataflow's dense slot layout with random CFGs (unreachable blocks,
-# back edges into the entry, unvalidated register and temporary ids).
+# back edges into the entry, unvalidated register and temporary ids);
+# the STA oracle sweep drives the scheduled fixpoint's call-site cursor,
+# reader index and SCC stack under several initial schedules.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='ChaosTest.*:Corruption.*:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips:DbscanOracle.*:BundleOracle.*:Hash64.*:CacheTest.FormatVersionSkew*:ReachDefOracle.*'
+    --gtest_filter='ChaosTest.*:Corruption.*:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips:DbscanOracle.*:BundleOracle.*:Hash64.*:CacheTest.FormatVersionSkew*:ReachDefOracle.*:StaOracle.*'
 
 echo "asan: no memory errors detected"

@@ -9,8 +9,9 @@
 # oracle sweep (NaN, infinite and signed-zero rows through the
 # duplicate-merging hash and the distance scan), and the
 # reaching-definitions oracle sweep (random CFGs through the parameter
-# dataflow's slot arithmetic). Any UB report aborts
-# the run (-fno-sanitize-recover=all).
+# dataflow's slot arithmetic), and the STA oracle sweep (the scheduled
+# fixpoint's cursor and index arithmetic under several initial
+# schedules). Any UB report aborts the run (-fno-sanitize-recover=all).
 #
 # Usage: tools/check_ubsan.sh [build-dir]   (default: build-ubsan)
 set -e
@@ -22,6 +23,6 @@ fits_sanitized_tests "$BUILD" undefined
 
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='ChaosTest.*:Deadline.*:Corruption.*:Fbin.*:ByteBuf.*:Fwimg.*:DbscanOracle.*:CacheTest.*Bundle*:CacheTest.DecodeRejects*:BundleOracle.*:Hash64.*:CacheTest.FormatVersionSkew*:ReachDefOracle.*'
+    --gtest_filter='ChaosTest.*:Deadline.*:Corruption.*:Fbin.*:ByteBuf.*:Fwimg.*:DbscanOracle.*:CacheTest.*Bundle*:CacheTest.DecodeRejects*:BundleOracle.*:Hash64.*:CacheTest.FormatVersionSkew*:ReachDefOracle.*:StaOracle.*'
 
 echo "ubsan: no undefined behavior detected"
