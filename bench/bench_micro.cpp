@@ -4,8 +4,9 @@
  * FITS pipeline is built on: FBIN decode/lift, UCSE exploration, CFG +
  * loop analysis, reaching definitions, Table-2 backtracking, DBSCAN,
  * and Eq.-2 scoring. These are the ingredients whose costs compose
- * into the Figure 4 curves. BM_StaRun times the STA taint engine on a
- * standard-corpus sample. BM_BundleDecode and BM_Hash64 time the warm
+ * into the Figure 4 curves. BM_StaRun and BM_KaronteRun time the two
+ * taint engines on a standard-corpus sample. BM_BundleDecode and
+ * BM_Hash64 time the warm
  * behavior-cache hit path instead: bundle decode and the disk-entry
  * checksum.
  */
@@ -29,6 +30,7 @@
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
 #include "synth/profiles.hh"
+#include "taint/karonte.hh"
 #include "taint/sta.hh"
 
 namespace {
@@ -241,7 +243,7 @@ BM_DbscanDuplicates(benchmark::State &state)
 BENCHMARK(BM_DbscanDuplicates);
 
 /** The first standard-corpus sample with an ITS, analyzed once, and
- * its two STA source sets: the classical sources, and those plus the
+ * its two taint source sets: the classical sources, and those plus the
  * ground-truth ITSs. */
 struct StaSample
 {
@@ -275,20 +277,39 @@ staSample()
 }
 
 /** STA over the sample with both source sets, as the corpus
- * evaluation runs it. */
+ * evaluation runs it: one CTS+ITS run, and the CTS report derived
+ * from it. */
 void
 BM_StaRun(benchmark::State &state)
 {
     const StaSample &s = staSample();
     const taint::StaEngine sta;
     for (auto _ : state) {
-        auto cts = sta.run(*s.artifact.analysis, s.cts);
         auto its = sta.run(*s.artifact.analysis, s.ctsPlusIts);
+        auto cts = sta.prefixReport(*s.artifact.analysis, s.ctsPlusIts,
+                                    s.cts.size(), its);
         benchmark::DoNotOptimize(cts);
         benchmark::DoNotOptimize(its);
     }
 }
 BENCHMARK(BM_StaRun);
+
+/** Karonte over the sample with both source sets, as the corpus
+ * evaluation runs it: two runs, since ITS roots change which paths
+ * are explored. */
+void
+BM_KaronteRun(benchmark::State &state)
+{
+    const StaSample &s = staSample();
+    const taint::KaronteEngine karonte;
+    for (auto _ : state) {
+        auto cts = karonte.run(*s.artifact.analysis, s.cts);
+        auto its = karonte.run(*s.artifact.analysis, s.ctsPlusIts);
+        benchmark::DoNotOptimize(cts);
+        benchmark::DoNotOptimize(its);
+    }
+}
+BENCHMARK(BM_KaronteRun);
 
 /** Decode of the shared sample's encoded behavior bundle: the work a
  * warm behavior-cache hit does after reading and checksumming. */
@@ -352,13 +373,23 @@ main(int argc, char **argv)
     fits::obs::setEnabled(true);
     for (int i = 0; i < kRepetitions; ++i)
         benchmark::DoNotOptimize(fits::core::inferIts(repr));
-    const StaSample &sta = staSample();
+    // 200 taint/sta spans (CTS+ITS runs; the CTS report is derived
+    // from each) and 200 taint/karonte spans (one CTS and one CTS+ITS
+    // run per repetition).
+    const StaSample &taintSample = staSample();
+    const auto &taintPa = *taintSample.artifact.analysis;
     const fits::taint::StaEngine staEngine;
+    const fits::taint::KaronteEngine karonteEngine;
+    for (int i = 0; i < kRepetitions / 5; ++i) {
+        const auto full = staEngine.run(taintPa, taintSample.ctsPlusIts);
+        benchmark::DoNotOptimize(staEngine.prefixReport(
+            taintPa, taintSample.ctsPlusIts, taintSample.cts.size(), full));
+    }
     for (int i = 0; i < kRepetitions / 10; ++i) {
         benchmark::DoNotOptimize(
-            staEngine.run(*sta.artifact.analysis, sta.cts));
+            karonteEngine.run(taintPa, taintSample.cts));
         benchmark::DoNotOptimize(
-            staEngine.run(*sta.artifact.analysis, sta.ctsPlusIts));
+            karonteEngine.run(taintPa, taintSample.ctsPlusIts));
     }
     fits::obs::setEnabled(false);
     const auto repeated = fits::obs::Registry::instance().snapshot();
@@ -414,6 +445,7 @@ main(int argc, char **argv)
     addKernel("kernel_cluster", "kernel.cluster");
     addKernelMean("kernel_rank", "kernel.rank");
     addKernelMean("kernel_sta", "taint/sta");
+    addKernelMean("kernel_karonte", "taint/karonte");
     // Work counts of the clustering kernel. Unlike the span times they
     // depend only on the input, not on the machine.
     for (const char *count : {"rows", "distinct_rows", "distance_evals"}) {

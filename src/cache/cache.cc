@@ -461,14 +461,19 @@ loadLibrary(const std::vector<std::uint8_t> &bytes)
             bumpHit();
             return R::ok(it->second.image);
         }
-        bumpMiss();
     }
 
     // Lift outside the lock; a concurrent miss on the same bytes lifts
     // its own copy and the insert below keeps whichever landed first.
+    // Only the request whose entry lands counts the miss; one that
+    // finds an entry landed meanwhile counts a hit, so the counts do
+    // not depend on thread timing.
     auto loaded = bin::loadBinary(bytes);
-    if (!loaded)
+    if (!loaded) {
+        if (usable)
+            bumpMiss();
         return R::error(loaded.status());
+    }
     auto image = std::make_shared<const bin::BinaryImage>(loaded.take());
     if (!usable)
         return R::ok(std::move(image));
@@ -476,8 +481,11 @@ loadLibrary(const std::vector<std::uint8_t> &bytes)
     const std::size_t entryBytes = approxImageBytes(*image);
     const std::lock_guard<std::mutex> lock(s.mutex);
     auto it = s.libraries.find(key);
-    if (it != s.libraries.end())
+    if (it != s.libraries.end()) {
+        bumpHit();
         return R::ok(it->second.image);
+    }
+    bumpMiss();
     if (admitLocked(s, entryBytes))
         s.libraries.emplace(key, Library{image, {}});
     return R::ok(std::move(image));
@@ -511,18 +519,23 @@ functionAnalyses(const std::shared_ptr<const bin::BinaryImage> &image,
     if (!resident)
         return fnsView(computeAnalyses(image, config));
 
-    bumpMiss();
     auto product = computeAnalyses(image, config);
     const std::size_t entryBytes = approxAnalysesBytes(*product);
     const std::lock_guard<std::mutex> lock(s.mutex);
     // The library may have been dropped (clearMemory) meanwhile, and a
-    // concurrent miss may already have stored its product.
+    // concurrent miss may already have stored its product: that
+    // request counted the miss, this one counts a hit.
     Library *library = residentLocked(s, image.get());
-    if (library == nullptr)
+    if (library == nullptr) {
+        bumpMiss();
         return fnsView(std::move(product));
+    }
     auto it = library->analyses.find(fingerprint);
-    if (it != library->analyses.end())
+    if (it != library->analyses.end()) {
+        bumpHit();
         return fnsView(it->second);
+    }
+    bumpMiss();
     if (admitLocked(s, entryBytes))
         library->analyses.emplace(fingerprint, product);
     return fnsView(std::move(product));

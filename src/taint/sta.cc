@@ -3,12 +3,12 @@
 #include <deque>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "chaos/chaos.hh"
 #include "obs/metrics.hh"
 #include "support/deadline.hh"
 #include "taint/labels.hh"
+#include "taint/site_table.hh"
 
 namespace fits::taint {
 
@@ -31,18 +31,6 @@ CellKey
 cellKey(std::size_t imageIdx, Addr addr)
 {
     return (static_cast<CellKey>(imageIdx) << 48) | addr;
-}
-
-/** Imports whose primary effect is writing caller memory; the source
- * operands' taint lands in the destination. */
-bool
-isMemoryWriter(const std::string &name)
-{
-    static const std::unordered_set<std::string> writers = {
-        "strcpy", "strncpy", "strcat", "strncat", "memcpy",
-        "memmove", "sprintf", "snprintf",
-    };
-    return writers.count(name) != 0;
 }
 
 /** Whether STA follows a call site into its callee's summaries:
@@ -87,13 +75,8 @@ struct Engine
     std::unordered_map<CellKey, Mask> globalCells;
     Mask globalUnknown = 0;
 
-    /** image pointer -> index (for cell keys). */
-    std::unordered_map<const bin::BinaryImage *, std::size_t> imageIdx;
-
-    /** CTS import name -> source index. */
-    std::unordered_map<std::string, std::size_t> ctsByName;
-    /** ITS FnId -> source index. */
-    std::unordered_map<FnId, std::size_t> itsByFn;
+    /** Image index per function (for cell keys) and call-site roles. */
+    SiteTable siteTable;
 
     /** ITS call-site label cache: site index -> seed bit. */
     std::unordered_map<std::size_t, Mask> itsSiteLabel;
@@ -107,29 +90,11 @@ struct Engine
 
     explicit Engine(const ProgramAnalysis &pa_,
                     const std::vector<TaintSource> &sources_)
-        : pa(pa_), sources(sources_)
+        : pa(pa_), sources(sources_),
+          labelTable(buildLabelTable(sources)), siteTable(pa, sources)
     {
-        labelTable = buildLabelTable(sources);
         fnStates.resize(pa.linked->fnCount());
         queued.resize(pa.linked->fnCount(), false);
-
-        std::size_t nImages = 0;
-        for (FnId id = 0; id < pa.linked->fnCount(); ++id) {
-            const auto *image = pa.linked->fn(id).image;
-            if (imageIdx.emplace(image, nImages).second)
-                ++nImages;
-        }
-
-        for (std::size_t i = 0; i < sources.size(); ++i) {
-            if (sources[i].kind == TaintSource::Kind::Cts) {
-                ctsByName[sources[i].name] = i;
-            } else {
-                auto fnId = pa.linked->fnIdOf(&pa.linked->mainImage(),
-                                              sources[i].entry);
-                if (fnId)
-                    itsByFn[*fnId] = i;
-            }
-        }
     }
 
     void
@@ -144,7 +109,7 @@ struct Engine
     std::size_t
     imageOf(FnId id) const
     {
-        return imageIdx.at(pa.linked->fn(id).image);
+        return siteTable.imageOf(id);
     }
 
     /** Seed label for an ITS call site: user or system data depending
@@ -380,25 +345,22 @@ struct Engine
             const auto &site = pa.callGraph.sites()[siteIdx];
             if (site.indirect)
                 continue;
-            const std::string &name = site.target.name;
+            const SiteRole &role = siteTable.role(siteIdx);
 
             // Sink check first: the call consumes its arguments.
-            if (const SinkSpec *sink = sinkByName(name)) {
+            if (role.sink != nullptr) {
                 Mask hit = 0;
-                for (int arg : sink->taintedArgs) {
+                for (int arg : role.sink->taintedArgs) {
                     if (arg >= 0 && arg < ir::kNumArgRegs)
                         hit |= regs[arg];
                 }
-                recordAlert(caller, stmtAddr, *sink, hit);
+                recordAlert(caller, stmtAddr, *role.sink, hit);
             }
 
             // CTS seeding.
-            auto cts = name.empty() ? ctsByName.end()
-                                    : ctsByName.find(name);
-            if (cts != ctsByName.end()) {
-                const TaintSource &src = sources[cts->second];
-                const Mask label =
-                    labelTable.bySource[cts->second].userBit;
+            if (role.cts != kNoSource) {
+                const TaintSource &src = sources[role.cts];
+                const Mask label = labelTable.bySource[role.cts].userBit;
                 if (src.origin == TaintSource::Origin::ReturnValue) {
                     retMask |= label;
                 } else {
@@ -449,16 +411,15 @@ struct Engine
 
                 // ITS seeding: the verified taint origin is the
                 // return register of the ITS.
-                auto its = itsByFn.find(callee);
-                if (its != itsByFn.end())
-                    retMask |= itsLabelAt(siteIdx, its->second);
+                if (role.its != kNoSource)
+                    retMask |= itsLabelAt(siteIdx, role.its);
             } else if (site.resolvesToFunction()) {
                 // Library function with an implementation: treat
                 // as a model (anchor semantics): taint flows from
                 // arguments to the return value, and for memory
                 // writers into the destination buffer.
                 retMask |= argUnion;
-                if (isMemoryWriter(name)) {
+                if (role.memoryWriter) {
                     const Mask srcMask =
                         regs[1] | regs[2] | regs[3];
                     const auto tracker = fa.backtracker();
@@ -717,6 +678,54 @@ StaEngine::run(const ProgramAnalysis &pa,
                const std::vector<TaintSource> &sources) const
 {
     return runSta(config_, pa, sources, nullptr);
+}
+
+TaintReport
+StaEngine::prefixReport(const ProgramAnalysis &pa,
+                        const std::vector<TaintSource> &sources,
+                        std::size_t prefix, const TaintReport &full) const
+{
+    // Label i owns bit min(i, 63) (buildLabelTable).
+    constexpr std::size_t kBits = 64;
+    std::size_t m = 0;
+    while (m < full.labels.size() && full.labels[m].sourceIndex < prefix)
+        ++m;
+    if (m >= kBits && full.labels.size() > m) {
+        const std::vector<TaintSource> head(
+            sources.begin(),
+            sources.begin() + static_cast<std::ptrdiff_t>(prefix));
+        return run(pa, head);
+    }
+
+    const auto bitOf = [](std::size_t label) {
+        return Mask{1} << std::min(label, kBits - 1);
+    };
+    Mask prefixBits = 0, userBits = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+        prefixBits |= bitOf(i);
+        if (!full.labels[i].systemData)
+            userBits |= bitOf(i);
+    }
+
+    TaintReport report;
+    report.labels.assign(full.labels.begin(),
+                         full.labels.begin() + static_cast<std::ptrdiff_t>(m));
+    for (const Alert &alert : full.alerts) {
+        if ((alert.labelMask & prefixBits) == 0)
+            continue;
+        Alert &kept = report.alerts.emplace_back(alert);
+        kept.labelMask &= prefixBits;
+        kept.hasUserDataLabel = (kept.labelMask & userBits) != 0;
+    }
+    // Still in sortAlerts order: an alert's image and sink address,
+    // the first keys compared, are unique within a report.
+    report.steps = full.steps;
+    report.budgetExhausted = full.budgetExhausted;
+    report.deadlineExpired = full.deadlineExpired;
+    report.analysisMs = full.analysisMs;
+    if (obs::enabled())
+        obs::addCounter("taint.sta.alerts", report.alerts.size());
+    return report;
 }
 
 TaintReport

@@ -70,6 +70,37 @@ class StaEngine
     TaintReport run(const analysis::ProgramAnalysis &pa,
                     const std::vector<TaintSource> &sources) const;
 
+    /**
+     * The report run(pa, sources[0, prefix)) gives, derived from
+     * `full` = run(pa, sources) without a second fixpoint, so one run
+     * serves both the CTS and the CTS+ITS configuration.
+     *
+     * Bit-separability contract. Label bits are assigned in source
+     * order, so the prefix's sources own bits 0..m-1 in both label
+     * tables (m = their label count) as long as no later label shares
+     * a bit with them (the table saturates at 64 bits). Every STA
+     * operation acts on each bit alone: OR, assignment, or a kill
+     * decided by static constants (a Store of a constant, a strong
+     * update), never by a mask's value; and which cells and call
+     * sites exist does not depend on the sources past the prefix. The
+     * full fixpoint restricted to bits 0..m-1 is therefore a fair
+     * iteration of the prefix's system and reaches its least fixpoint,
+     * and an alert fires wherever its mask is nonzero. So the prefix
+     * report is the full report's alerts with a prefix bit, in the same
+     * order, each masked to those bits with its user-data flag
+     * recomputed. This holds as long as a sink's call address lies in
+     * one function of its image (alerts are keyed by image and
+     * address).
+     *
+     * steps, analysisMs and the budget and deadline flags are the full
+     * run's: the two reports share one run. When a later label shares
+     * a bit with the prefix, this runs the prefix instead.
+     */
+    TaintReport prefixReport(const analysis::ProgramAnalysis &pa,
+                             const std::vector<TaintSource> &sources,
+                             std::size_t prefix,
+                             const TaintReport &full) const;
+
     /** run() with an explicit initial worklist instead of
      * staBottomUpOrder(pa): `schedule` lists every FnId once. The
      * alerts do not depend on it; only the work done does. */

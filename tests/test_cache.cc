@@ -13,7 +13,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "binary/fbin.hh"
@@ -342,6 +344,43 @@ TEST_F(CacheTest, LoadLibrarySharesOneInstancePerContent)
     const std::vector<std::uint8_t> junk(64, 0xab);
     EXPECT_FALSE(cache::loadLibrary(junk));
     EXPECT_FALSE(cache::loadLibrary(junk));
+}
+
+TEST_F(CacheTest, ConcurrentMissesOnOneLibraryCountOneMiss)
+{
+    // Four threads released together miss on one library: each lifts
+    // and analyzes its own copy, but only the request whose entry lands
+    // counts a miss and the others count hits, so the summary line is
+    // the same in every run.
+    const auto bytes = libcBytes(smallCorpus(1)[0]);
+    ASSERT_FALSE(bytes.empty());
+    const analysis::UcseConfig config;
+    constexpr std::size_t kThreads = 4, kRounds = 20;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+        cache::clearMemory();
+        cache::resetStats();
+        std::latch start(kThreads);
+        std::vector<const bin::BinaryImage *> images(kThreads);
+        std::vector<std::thread> threads;
+        for (std::size_t t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                start.arrive_and_wait();
+                const auto image = cache::loadLibrary(bytes);
+                if (!image)
+                    return;
+                images[t] = image.value().get();
+                (void)cache::functionAnalyses(image.value(), config);
+            });
+        }
+        for (auto &thread : threads)
+            thread.join();
+        for (const auto *image : images)
+            EXPECT_EQ(image, images.front()) << "round " << round;
+        // One library and one analyses vector, each missed once.
+        EXPECT_EQ(cache::stats().misses, 2u) << "round " << round;
+        EXPECT_EQ(cache::stats().hits, 2 * (kThreads - 1))
+            << "round " << round;
+    }
 }
 
 TEST_F(CacheTest, OnlySharedLibrariesStayResident)

@@ -3,8 +3,10 @@
  * injected faults and corrupted inputs: spec parsing, deterministic
  * replay, a sweep proving every catalog site fires and is handled as
  * a typed error or degraded result, the corpus-runner retry path,
- * truncation/bit-flip corruption of whole firmware images, and hostile
- * IR sealed inside a well-formed container. */
+ * truncation/bit-flip corruption of whole firmware images, hostile
+ * IR sealed inside a well-formed container, and a seeded FBIN fuzzer
+ * that drives mutated binaries through the pipeline and both taint
+ * engines. */
 
 #include <gtest/gtest.h>
 
@@ -582,6 +584,88 @@ TEST(Corruption, HostileIrInSealedImageFailsTypedNeverCrash)
         EXPECT_FALSE(artifact.status.isOk()) << "mutation " << i;
         EXPECT_FALSE(artifact.error.empty()) << "mutation " << i;
     }
+}
+
+/** Flip a bit of, randomize, or saturate each of 1-8 random bytes. */
+void
+mutateBytes(std::vector<std::uint8_t> &bytes, support::Rng &rng)
+{
+    const std::size_t edits = 1 + rng.index(8);
+    for (std::size_t e = 0; e < edits; ++e) {
+        auto &byte = bytes[rng.index(bytes.size())];
+        switch (rng.index(3)) {
+          case 0:
+            byte ^= static_cast<std::uint8_t>(1u << rng.index(8));
+            break;
+          case 1:
+            byte = static_cast<std::uint8_t>(rng.next());
+            break;
+          default:
+            byte = rng.chance(0.5) ? 0xff : 0x00;
+            break;
+        }
+    }
+}
+
+TEST(Corruption, SeededFbinMutationsFailTypedThroughBothEngines)
+{
+    // Structure-aware fuzzing of the FBIN trust boundary: mutate 1-8
+    // bytes of a random FBIN (executable or library) in a random
+    // standard-corpus sample, re-seal the image so the container stays
+    // well-formed, and run the full pipeline plus the Karonte and STA
+    // engines. A mutation may be accepted (and analyzed) or rejected,
+    // but every failure must be typed, never a crash or an escape.
+    const auto dataset = synth::standardDataset();
+    std::size_t rounds = 0, failed = 0, analyzed = 0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        support::Rng rng(0xfb1f0000 + seed);
+        for (int round = 0; round < 25; ++round) {
+            auto fw = synth::generateFirmware(rng.pick(dataset));
+            auto unpacked = fw::unpackFirmware(fw.bytes);
+            if (!unpacked)
+                continue; // an encrypted or corrupt sample: no FBINs
+            fw::FirmwareImage image = unpacked.take();
+            std::vector<std::size_t> fbins;
+            const auto &files = image.filesystem.files();
+            for (std::size_t i = 0; i < files.size(); ++i) {
+                if (files[i].type == fw::FileType::Executable ||
+                    files[i].type == fw::FileType::Library)
+                    fbins.push_back(i);
+            }
+            ASSERT_FALSE(fbins.empty());
+            const std::size_t target = rng.pick(fbins);
+
+            fw::FirmwareImage mutated;
+            mutated.info = image.info;
+            for (std::size_t i = 0; i < files.size(); ++i) {
+                fw::FileEntry entry = files[i];
+                if (i == target && !entry.bytes.empty())
+                    mutateBytes(entry.bytes, rng);
+                mutated.filesystem.addFile(std::move(entry));
+            }
+            fw.bytes = fw::packFirmware(mutated);
+
+            SCOPED_TRACE("seed " + std::to_string(seed) + " round " +
+                         std::to_string(round) + ": " + fw.spec.name +
+                         " " + files[target].path);
+            const auto outcome = eval::runTaint(fw);
+            ++rounds;
+            if (outcome.ok) {
+                ++analyzed;
+            } else {
+                ++failed;
+                EXPECT_FALSE(outcome.status.isOk());
+                EXPECT_FALSE(outcome.error.empty());
+            }
+            for (const auto &issue : outcome.issues)
+                EXPECT_FALSE(issue.isOk());
+        }
+    }
+    EXPECT_GE(rounds, 80u);
+    // Both outcomes occur, so the mutations reach the engines and the
+    // loader's rejections alike.
+    EXPECT_GT(failed, 0u);
+    EXPECT_GT(analyzed, 0u);
 }
 
 } // namespace

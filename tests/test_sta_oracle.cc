@@ -3,7 +3,9 @@
  * alerts of the reference requeue-everything driver and its trailing
  * collection sweep, on every standard-corpus sample and on seeded
  * synthetic images under several initial schedules. Hand-built
- * programs check each requeue rule on its own. */
+ * programs check each requeue rule on its own. The StaProjection cases
+ * check StaEngine::prefixReport, the CTS report derived from a CTS+ITS
+ * run, against a direct CTS run. */
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "synth/firmware_gen.hh"
 #include "synth/profiles.hh"
 #include "taint/sta.hh"
+#include "taint_samples.hh"
 
 namespace fits {
 namespace {
@@ -34,6 +37,10 @@ using taint::StaEngine;
 using taint::TaintReport;
 using taint::TaintSource;
 
+using testing_taint::seededSpec;
+using testing_taint::verifiedIts;
+using testing_taint::withIts;
+
 void
 expectSameReport(const TaintReport &got, const TaintReport &want)
 {
@@ -41,65 +48,7 @@ expectSameReport(const TaintReport &got, const TaintReport &want)
     EXPECT_FALSE(got.budgetExhausted);
     EXPECT_FALSE(got.deadlineExpired);
     ASSERT_EQ(got.labels.size(), want.labels.size());
-    ASSERT_EQ(got.alerts.size(), want.alerts.size());
-    for (std::size_t i = 0; i < got.alerts.size(); ++i) {
-        const Alert &g = got.alerts[i];
-        const Alert &w = want.alerts[i];
-        SCOPED_TRACE("alert " + std::to_string(i) + " at " +
-                     support::hex(w.sinkSite));
-        EXPECT_EQ(g.sinkSite, w.sinkSite);
-        EXPECT_EQ(g.sinkName, w.sinkName);
-        EXPECT_EQ(g.vclass, w.vclass);
-        EXPECT_EQ(g.labelMask, w.labelMask);
-        EXPECT_EQ(g.hasUserDataLabel, w.hasUserDataLabel);
-        EXPECT_EQ(g.inFunction, w.inFunction);
-        EXPECT_EQ(g.imageIndex, w.imageIndex);
-    }
-}
-
-std::vector<TaintSource>
-withIts(std::vector<TaintSource> sources,
-        const std::vector<ir::Addr> &itsEntries)
-{
-    for (ir::Addr entry : itsEntries)
-        sources.push_back(TaintSource::its(entry, support::hex(entry)));
-    return sources;
-}
-
-/** The ITS set the corpus evaluation uses: the top-3 ranked functions
- * that ground truth confirms. */
-std::vector<ir::Addr>
-verifiedIts(const core::PipelineArtifact &artifact,
-            const synth::GroundTruth &truth)
-{
-    std::vector<ir::Addr> its;
-    const auto &ranking = artifact.inference.ranking;
-    for (std::size_t i = 0; i < std::min<std::size_t>(3, ranking.size());
-         ++i) {
-        const ir::Addr entry = ranking[i].entry;
-        if (std::find(truth.itsFunctions.begin(), truth.itsFunctions.end(),
-                      entry) != truth.itsFunctions.end())
-            its.push_back(entry);
-    }
-    return its;
-}
-
-synth::SampleSpec
-seededSpec(std::uint64_t seed)
-{
-    const synth::VendorProfile profiles[] = {
-        synth::netgearProfile(), synth::dlinkProfile(),
-        synth::tplinkProfile(), synth::tendaProfile(),
-        synth::ciscoProfile()};
-    synth::SampleSpec spec;
-    spec.profile = profiles[seed % 5];
-    spec.profile.minCustomFns = 100;
-    spec.profile.maxCustomFns = 160;
-    spec.product = spec.profile.series.front();
-    spec.version = "V1";
-    spec.name = spec.product + "-V1";
-    spec.seed = 0x57a0000ULL + seed * 0x9e3779b9ULL;
-    return spec;
+    testing_taint::expectSameAlerts(got.alerts, want.alerts);
 }
 
 /** Every followed call edge u -> v with v placed after u must close a
@@ -405,6 +354,221 @@ TEST_F(StaOracle, FixpointCutShortStillSweeps)
     EXPECT_TRUE(report.deadlineExpired);
     ASSERT_EQ(report.alerts.size(), 1u);
     EXPECT_EQ(report.alerts[0].sinkSite, program.sinkSite);
+}
+
+TEST_F(StaOracle, LibraryMemoryWriterTaintsItsDestination)
+{
+    const testing_taint::MemoryWriterProgram program;
+    const analysis::LinkedProgram linked(program.main, program.libraries);
+    const auto pa = ProgramAnalysis::analyze(linked);
+    const auto cts = taint::classicalTaintSources();
+    const auto want = oracle::referenceSta(pa, cts);
+    EXPECT_TRUE(std::any_of(want.alerts.begin(), want.alerts.end(),
+                            [&](const Alert &alert) {
+                                return alert.sinkSite == program.systemSink;
+                            }));
+    expectSameReport(StaEngine().run(pa, cts), want);
+}
+
+/** prefixReport(pa, sources, prefix, run(pa, sources)) against a
+ * direct run(pa, sources[0, prefix)): labels, every alert field and
+ * the flags (steps and time are the shared run's, so they differ).
+ * Returns the number of alerts compared. */
+std::size_t
+expectProjectionMatches(const ProgramAnalysis &pa,
+                        const std::vector<TaintSource> &sources,
+                        std::size_t prefix)
+{
+    const StaEngine sta;
+    const std::vector<TaintSource> head(
+        sources.begin(),
+        sources.begin() + static_cast<std::ptrdiff_t>(prefix));
+    const auto want = sta.run(pa, head);
+    const auto full = sta.run(pa, sources);
+    const auto got = sta.prefixReport(pa, sources, prefix, full);
+    EXPECT_FALSE(full.budgetExhausted);
+    EXPECT_EQ(got.budgetExhausted, want.budgetExhausted);
+    EXPECT_EQ(got.deadlineExpired, want.deadlineExpired);
+    EXPECT_EQ(got.labels.size(), want.labels.size());
+    for (std::size_t i = 0;
+         i < std::min(got.labels.size(), want.labels.size()); ++i) {
+        EXPECT_EQ(got.labels[i].sourceIndex, want.labels[i].sourceIndex);
+        EXPECT_EQ(got.labels[i].systemData, want.labels[i].systemData);
+        EXPECT_EQ(got.labels[i].description, want.labels[i].description);
+    }
+    testing_taint::expectSameAlerts(got.alerts, want.alerts);
+    return want.alerts.size();
+}
+
+TEST_F(StaOracle, ProjectionEqualsCtsRunOnEveryStandardCorpusSample)
+{
+    const core::FitsPipeline pipeline;
+    std::size_t samples = 0, alerts = 0;
+    for (const auto &spec : synth::standardDataset()) {
+        const auto fw = synth::generateFirmware(spec);
+        const auto artifact = pipeline.analyze(fw.bytes);
+        if (!artifact.hasAnalysis())
+            continue;
+        ++samples;
+        SCOPED_TRACE(spec.product + " seed " + std::to_string(spec.seed));
+        const auto cts = taint::classicalTaintSources();
+        alerts += expectProjectionMatches(
+            *artifact.analysis,
+            withIts(cts, verifiedIts(artifact, fw.truth)), cts.size());
+    }
+    EXPECT_GE(samples, 50u);
+    EXPECT_GT(alerts, 200u);
+}
+
+TEST_F(StaOracle, ProjectionEqualsCtsRunOnSeededSynthImages)
+{
+    const core::FitsPipeline pipeline;
+    std::size_t images = 0, alerts = 0;
+    for (std::uint64_t seed = 0; seed < 50; ++seed) {
+        const auto fw = synth::generateFirmware(seededSpec(seed));
+        const auto artifact = pipeline.analyze(fw.bytes);
+        if (!artifact.hasAnalysis())
+            continue;
+        ++images;
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const auto cts = taint::classicalTaintSources();
+        alerts += expectProjectionMatches(
+            *artifact.analysis, withIts(cts, fw.truth.itsFunctions),
+            cts.size());
+    }
+    EXPECT_GE(images, 45u);
+    EXPECT_GT(alerts, 100u);
+}
+
+/**
+ * One handler over a recv buffer and an ITS getter:
+ *   shared:  strcpy(kOut, *(kBuf+4) | getter())   CTS and ITS flow
+ *   itsOnly: system(getter())
+ *   ctsOnly: system(*(kBuf+8))
+ */
+struct CtsAndItsFlows
+{
+    bin::BinaryImage main;
+    ir::Addr getterEntry = 0;
+    ir::Addr shared = 0, itsOnly = 0, ctsOnly = 0;
+
+    CtsAndItsFlows()
+    {
+        constexpr ir::Addr kBuf = bin::kBssBase;
+        constexpr ir::Addr kOut = bin::kBssBase + 0x200;
+        main.name = "httpd";
+        const auto recvPlt = main.addImport("recv", "libc.so");
+        const auto strcpyPlt = main.addImport("strcpy", "libc.so");
+        const auto systemPlt = main.addImport("system", "libc.so");
+
+        FunctionBuilder getter;
+        getter.put(ir::kRetReg,
+                   Operand::ofTmp(getter.load(
+                       Operand::ofTmp(getter.get(ir::kRegR1)))));
+        getter.ret();
+        ir::Function getterFn = getter.build(bin::kTextBase);
+        getterEntry = getterFn.entry;
+        const ir::Addr handlerEntry =
+            getterEntry + getterFn.byteSize() + ir::kStmtSize;
+        main.program.addFunction(std::move(getterFn));
+
+        FunctionBuilder b;
+        std::vector<std::pair<ir::Addr *, std::pair<std::size_t,
+                                                    std::size_t>>>
+            marks;
+        const auto mark = [&](ir::Addr *out) {
+            marks.push_back({out, {b.currentBlock(), b.nextStmtIndex()}});
+        };
+        b.setArg(0, Operand::ofImm(0));
+        b.setArg(1, Operand::ofImm(kBuf));
+        b.setArg(2, Operand::ofImm(64));
+        b.call(recvPlt);
+        b.call(getterEntry);
+        b.put(7, Operand::ofTmp(b.retVal()));
+        const auto fromRecv = b.load(Operand::ofImm(kBuf + 4));
+        const auto mixed = b.binop(ir::BinOp::Or, Operand::ofTmp(fromRecv),
+                                   Operand::ofTmp(b.get(7)));
+        b.setArg(0, Operand::ofImm(kOut));
+        b.setArg(1, Operand::ofTmp(mixed));
+        mark(&shared);
+        b.call(strcpyPlt);
+        b.setArg(0, Operand::ofTmp(b.get(7)));
+        mark(&itsOnly);
+        b.call(systemPlt);
+        b.setArg(0, Operand::ofTmp(b.load(Operand::ofImm(kBuf + 8))));
+        mark(&ctsOnly);
+        b.call(systemPlt);
+        b.ret();
+        ir::Function handler = b.build(handlerEntry);
+        for (const auto &[out, pos] : marks)
+            *out = handler.blocks[pos.first].stmtAddr(pos.second);
+        main.program.addFunction(std::move(handler));
+    }
+};
+
+TEST_F(StaOracle, ProjectionSplitsCtsAndItsFlowsAtOneSink)
+{
+    const CtsAndItsFlows program;
+    const analysis::LinkedProgram linked(program.main, kNoLibraries);
+    const auto pa = ProgramAnalysis::analyze(linked);
+    const auto cts = taint::classicalTaintSources();
+    const auto sources = withIts(cts, {program.getterEntry});
+
+    // The full run sees all three sinks, the shared one with both a
+    // CTS and an ITS bit; the projection keeps the shared sink with
+    // only its CTS bit, keeps the CTS-only sink and drops the ITS-only
+    // one.
+    const StaEngine sta;
+    const auto full = sta.run(pa, sources);
+    const auto bitsAt = [](const TaintReport &report, ir::Addr site) {
+        for (const auto &alert : report.alerts) {
+            if (alert.sinkSite == site)
+                return alert.labelMask;
+        }
+        return std::uint64_t{0};
+    };
+    const std::uint64_t recvBit = 1; // recv is the first CTS
+    const std::uint64_t itsUserBit = std::uint64_t{1} << cts.size();
+    EXPECT_EQ(bitsAt(full, program.shared), recvBit | itsUserBit);
+    EXPECT_EQ(bitsAt(full, program.itsOnly), itsUserBit);
+    EXPECT_EQ(bitsAt(full, program.ctsOnly), recvBit);
+
+    const auto projected = sta.prefixReport(pa, sources, cts.size(), full);
+    EXPECT_EQ(projected.steps, full.steps);
+    EXPECT_EQ(projected.analysisMs, full.analysisMs);
+    ASSERT_EQ(projected.alerts.size(), 2u);
+    EXPECT_EQ(bitsAt(projected, program.shared), recvBit);
+    EXPECT_EQ(bitsAt(projected, program.ctsOnly), recvBit);
+    EXPECT_EQ(expectProjectionMatches(pa, sources, cts.size()), 2u);
+}
+
+TEST_F(StaOracle, ProjectionRunsThePrefixWhenALaterLabelSharesItsBit)
+{
+    // 64 CTS labels fill the table, recv last on bit 63, which the ITS
+    // labels after them share: masking would keep the ITS-only sink.
+    const CtsAndItsFlows program;
+    const analysis::LinkedProgram linked(program.main, kNoLibraries);
+    const auto pa = ProgramAnalysis::analyze(linked);
+    std::vector<TaintSource> sources;
+    for (int i = 0; i < 63; ++i)
+        sources.push_back(TaintSource::cts("unused" + std::to_string(i),
+                                           TaintSource::Origin::ReturnValue));
+    sources.push_back(
+        TaintSource::cts("recv", TaintSource::Origin::PointerArg, 1));
+    const std::size_t prefix = sources.size();
+    sources = withIts(sources, {program.getterEntry});
+
+    const StaEngine sta;
+    const auto projected =
+        sta.prefixReport(pa, sources, prefix, sta.run(pa, sources));
+    EXPECT_EQ(projected.steps,
+              sta.run(pa, std::vector<TaintSource>(
+                              sources.begin(), sources.end() - 1))
+                  .steps);
+    ASSERT_EQ(projected.alerts.size(), 2u);
+    for (const auto &alert : projected.alerts)
+        EXPECT_NE(alert.sinkSite, program.itsOnly);
+    EXPECT_EQ(expectProjectionMatches(pa, sources, prefix), 2u);
 }
 
 } // namespace

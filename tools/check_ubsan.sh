@@ -9,9 +9,12 @@
 # oracle sweep (NaN, infinite and signed-zero rows through the
 # duplicate-merging hash and the distance scan), and the
 # reaching-definitions oracle sweep (random CFGs through the parameter
-# dataflow's slot arithmetic), and the STA oracle sweep (the scheduled
+# dataflow's slot arithmetic), the STA oracle sweep (the scheduled
 # fixpoint's cursor and index arithmetic under several initial
-# schedules). Any UB report aborts the run (-fno-sanitize-recover=all).
+# schedules), and the Karonte oracle sweep (frame-temporary offsets and
+# the sorted cell and call-site searches). The corruption fuzzers
+# include seeded FBIN byte mutations run through both taint engines.
+# Any UB report aborts the run (-fno-sanitize-recover=all).
 #
 # Usage: tools/check_ubsan.sh [build-dir]   (default: build-ubsan)
 set -e
@@ -23,6 +26,6 @@ fits_sanitized_tests "$BUILD" undefined
 
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='ChaosTest.*:Deadline.*:Corruption.*:Fbin.*:ByteBuf.*:Fwimg.*:DbscanOracle.*:CacheTest.*Bundle*:CacheTest.DecodeRejects*:BundleOracle.*:Hash64.*:CacheTest.FormatVersionSkew*:ReachDefOracle.*:StaOracle.*'
+    --gtest_filter='ChaosTest.*:Deadline.*:Corruption.*:Fbin.*:ByteBuf.*:Fwimg.*:DbscanOracle.*:CacheTest.*Bundle*:CacheTest.DecodeRejects*:BundleOracle.*:Hash64.*:CacheTest.FormatVersionSkew*:ReachDefOracle.*:StaOracle.*:KaronteOracle.*'
 
 echo "ubsan: no undefined behavior detected"
