@@ -10,11 +10,11 @@
 # surfaces on the PR without failing it.
 #
 # Work counters are different. A `fits corpus --taint --no-cache` run
-# counts functions, DBSCAN distance evaluations and taint-engine
-# steps, which depend only on the input. The serial run's counters
-# are written to BENCH_corpus_counters.json and must equal the
-# committed baseline exactly, and a 4-job run must count the same:
-# any difference FAILS. A change that moves a counter on purpose
+# counts functions, UCSE steps, dataflow block visits, DBSCAN
+# distance evaluations and taint-engine steps, which depend only on
+# the input. The serial run's counters are written to
+# BENCH_corpus_counters.json and must equal the committed baseline
+# exactly, and a 4-job run must count the same: any difference FAILS. A change that moves a counter on purpose
 # commits the new record (copy it from out-dir) and says why in
 # CHANGES.md.
 #
@@ -95,6 +95,8 @@ import json, os, sys
 root, out = sys.argv[1], sys.argv[2]
 keys = (
     "pipeline.functions",
+    "analysis.ucse.steps",
+    "analysis.reachdef.block_visits",
     "kernel.cluster.distance_evals",
     "taint.sta.fixpoint_steps",
     "taint.sta.sweep_steps",
