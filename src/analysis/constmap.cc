@@ -1,5 +1,7 @@
 #include "constmap.hh"
 
+#include <algorithm>
+
 namespace fits::analysis {
 
 TmpConstMap
@@ -9,46 +11,57 @@ TmpConstMap::compute(const ir::Function &fn, const bin::BinaryImage *image)
 
     // Phase 1: temporaries with more than one definition are never
     // treated as constant (flow-insensitivity would conflate paths).
-    std::unordered_map<ir::TmpId, int> defCount;
+    std::size_t width = 0;
     for (const auto &block : fn.blocks) {
         for (const auto &stmt : block.stmts) {
             if (stmt.definesTmp())
-                ++defCount[stmt.dst];
+                width = std::max<std::size_t>(width, stmt.dst + 1u);
         }
     }
-    for (const auto &[tmp, count] : defCount) {
-        if (count > 1)
-            map.conflicted_[tmp] = true;
+    map.slots_.resize(width);
+    std::size_t pending = 0; // single-definition temporaries not folded
+    for (const auto &block : fn.blocks) {
+        for (const auto &stmt : block.stmts) {
+            if (!stmt.definesTmp())
+                continue;
+            State &state = map.slots_[stmt.dst].state;
+            if (state == State::NoDef) {
+                state = State::OneDef;
+                ++pending;
+            } else if (state == State::OneDef) {
+                state = State::Conflicted;
+                --pending;
+            }
+        }
     }
-
-    auto eligible = [&map](ir::TmpId t) {
-        auto it = map.conflicted_.find(t);
-        return it == map.conflicted_.end() || !it->second;
-    };
 
     // Phase 2: fold single-definition temporaries to a fixpoint. A
     // Binop/Load may only fold after its inputs did, so iterate until
     // no new values appear.
+    const auto fold = [&map, &pending](ir::TmpId t, std::uint64_t v) {
+        map.slots_[t] = {v, State::Known};
+        ++map.known_;
+        --pending;
+    };
     bool changed = true;
-    while (changed) {
+    while (changed && pending > 0) {
         changed = false;
         for (const auto &block : fn.blocks) {
             for (const auto &stmt : block.stmts) {
-                if (!stmt.definesTmp() || !eligible(stmt.dst) ||
-                    map.values_.count(stmt.dst) != 0) {
+                if (!stmt.definesTmp() ||
+                    map.slots_[stmt.dst].state != State::OneDef) {
                     continue;
                 }
                 switch (stmt.kind) {
                   case ir::StmtKind::Const:
-                    map.values_[stmt.dst] = stmt.a.imm;
+                    fold(stmt.dst, stmt.a.imm);
                     changed = true;
                     break;
                   case ir::StmtKind::Binop: {
                     auto lhs = map.valueOf(stmt.a);
                     auto rhs = map.valueOf(stmt.b);
                     if (lhs && rhs) {
-                        map.values_[stmt.dst] =
-                            ir::evalBinOp(stmt.op, *lhs, *rhs);
+                        fold(stmt.dst, ir::evalBinOp(stmt.op, *lhs, *rhs));
                         changed = true;
                     }
                     break;
@@ -59,7 +72,7 @@ TmpConstMap::compute(const ir::Function &fn, const bin::BinaryImage *image)
                     if (addr && image != nullptr &&
                         image->isRodata(*addr)) {
                         if (auto word = image->readWord(*addr)) {
-                            map.values_[stmt.dst] = *word;
+                            fold(stmt.dst, *word);
                             changed = true;
                         }
                     }
@@ -78,10 +91,9 @@ TmpConstMap::compute(const ir::Function &fn, const bin::BinaryImage *image)
 std::optional<std::uint64_t>
 TmpConstMap::valueOf(ir::TmpId t) const
 {
-    auto it = values_.find(t);
-    if (it == values_.end())
+    if (t >= slots_.size() || slots_[t].state != State::Known)
         return std::nullopt;
-    return it->second;
+    return slots_[t].value;
 }
 
 std::optional<std::uint64_t>

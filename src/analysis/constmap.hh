@@ -2,7 +2,7 @@
 #define FITS_ANALYSIS_CONSTMAP_HH_
 
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "binary/image.hh"
 #include "ir/function.hh"
@@ -19,6 +19,10 @@ namespace fits::analysis {
  * assigns each temporary once, so in practice this recovers all
  * address-formation arithmetic, which is what the Table-2 backtracker
  * and the taint engines need.
+ *
+ * Stored densely by TmpId, sized from the largest temporary the
+ * function defines (not from numTmps, so unvalidated IR stays in
+ * bounds): a value per temporary plus its state.
  */
 class TmpConstMap
 {
@@ -33,11 +37,19 @@ class TmpConstMap
     /** Constant value of an operand (immediates are constants). */
     std::optional<std::uint64_t> valueOf(const ir::Operand &op) const;
 
-    std::size_t knownCount() const { return values_.size(); }
+    std::size_t knownCount() const { return known_; }
 
   private:
-    std::unordered_map<ir::TmpId, std::uint64_t> values_;
-    std::unordered_map<ir::TmpId, bool> conflicted_;
+    enum class State : std::uint8_t { NoDef, OneDef, Conflicted, Known };
+
+    struct Slot
+    {
+        std::uint64_t value = 0;
+        State state = State::NoDef;
+    };
+
+    std::vector<Slot> slots_;
+    std::size_t known_ = 0;
 };
 
 } // namespace fits::analysis

@@ -11,10 +11,11 @@ FunctionAnalysis::analyze(const bin::BinaryImage &image,
     fa.image = &image;
     fa.fn = &fn;
 
+    const BlockIndex blocks(fn);
     UcseExplorer explorer(image, config);
-    fa.ucse = explorer.explore(fn);
+    fa.ucse = explorer.explore(fn, blocks);
 
-    fa.cfg = Cfg::build(fn, &fa.ucse.resolvedJumps);
+    fa.cfg = Cfg::build(fn, blocks, &fa.ucse.resolvedJumps);
     fa.loops = analyzeLoops(fa.cfg, fn);
     fa.consts = TmpConstMap::compute(fn, &image);
     fa.params = inferParams(fa.cfg, fn);
@@ -23,14 +24,12 @@ FunctionAnalysis::analyze(const bin::BinaryImage &image,
 
     // Parameter dependence of loop-controlling branches (feature 7).
     for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-        if (b >= fa.loops.controlsLoop.size() ||
-            !fa.loops.controlsLoop[b]) {
+        if (!fa.loops.controlsLoop[b])
             continue;
-        }
         const auto &stmts = fn.blocks[b].stmts;
         for (std::size_t s = 0; s < stmts.size(); ++s) {
             if (stmts[s].kind == ir::StmtKind::Branch)
-                fa.loopDepMask |= fa.flow.stmtDeps[b][s];
+                fa.loopDepMask |= fa.flow.dep(b, s);
         }
     }
 

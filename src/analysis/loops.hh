@@ -11,9 +11,11 @@ namespace fits::analysis {
 
 /**
  * Dominator and natural-loop information for one CFG, computed with the
- * Cooper/Harvey/Kennedy iterative dominator algorithm followed by
- * back-edge detection (an edge a->b with b dominating a) and natural-
- * loop body collection.
+ * Cooper/Harvey/Kennedy iterative dominator algorithm over the CFG's
+ * reverse post-order, followed by back-edge detection (an edge a->b
+ * with b dominating a) and natural-loop body collection. Back-edge
+ * detection is linear: only retreating edges are candidates, and
+ * dominance is two comparisons of dominator-tree pre/post numbers.
  */
 struct LoopInfo
 {

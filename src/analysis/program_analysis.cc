@@ -27,10 +27,7 @@ ProgramAnalysis::fromFunctionAnalyses(const LinkedProgram &linked,
     pa.linked = &linked;
     pa.fns = std::move(fns);
 
-    std::unordered_map<FnId, const UcseResult *> ucseByFn;
-    for (FnId id = 0; id < linked.fnCount(); ++id)
-        ucseByFn[id] = &pa.fns[id].ucse;
-    pa.callGraph = CallGraph::build(linked, &ucseByFn);
+    pa.callGraph = CallGraph::build(linked, pa.fns);
     return pa;
 }
 

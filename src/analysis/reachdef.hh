@@ -2,6 +2,7 @@
 #define FITS_ANALYSIS_REACHDEF_HH_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analysis/cfg.hh"
@@ -39,8 +40,28 @@ class ReachingDefs
     struct Result
     {
         /** Parameter mask (bit i = param i) of the inputs of each
-         * statement, indexed [block][stmt]. */
-        std::vector<std::vector<std::uint8_t>> stmtDeps;
+         * statement, block after block in layout order: statement s
+         * of block b is at blockStart[b] + s. */
+        std::vector<std::uint8_t> stmtDeps;
+
+        /** Offset of each block's first statement in stmtDeps, plus
+         * the total statement count (numBlocks + 1 entries). */
+        std::vector<std::size_t> blockStart;
+
+        /** The masks of block b's statements. */
+        std::span<const std::uint8_t>
+        depsOf(std::size_t b) const
+        {
+            return {stmtDeps.data() + blockStart[b],
+                    stmtDeps.data() + blockStart[b + 1]};
+        }
+
+        /** The mask of statement s of block b. */
+        std::uint8_t
+        dep(std::size_t b, std::size_t s) const
+        {
+            return stmtDeps[blockStart[b] + s];
+        }
 
         /** Union of stmtDeps over all Branch statements. */
         std::uint8_t branchDepMask = 0;

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/cfg.hh"
 #include "binary/image.hh"
 #include "ir/function.hh"
 #include "support/deadline.hh"
@@ -95,6 +96,12 @@ struct UcseResult
  * branches whose condition is not constant. Exploration is bounded by a
  * statement budget and a per-block visit bound, trading completeness for
  * the tractable memory behaviour the paper requires.
+ *
+ * In-flight paths form a LIFO stack of flat rows (registers, then
+ * temporaries) in one per-thread buffer: the running path is the top
+ * row, a fork appends a copy of it, and the path's own continuation
+ * (fall-through or jump) retargets the row in place when nothing was
+ * forked above it.
  */
 class UcseExplorer
 {
@@ -104,6 +111,11 @@ class UcseExplorer
 
     /** Explore fn from its entry. */
     UcseResult explore(const ir::Function &fn) const;
+
+    /** Explore fn from its entry, resolving block addresses through an
+     * index of fn's blocks already at hand. */
+    UcseResult explore(const ir::Function &fn,
+                       const BlockIndex &blocks) const;
 
   private:
     const bin::BinaryImage &image_;

@@ -104,7 +104,7 @@ BehaviorAnalyzer::analyze(const ProgramAnalysis &pa) const
                 !isAnchorName(site.target.name)) {
                 continue;
             }
-            if (fa.flow.stmtDeps[site.blockIdx][site.stmtIdx] != 0) {
+            if (fa.flow.dep(site.blockIdx, site.stmtIdx) != 0) {
                 paramsToAnchor = true;
                 break;
             }

@@ -15,6 +15,7 @@
 
 #include "analysis/cfg.hh"
 #include "analysis/constmap.hh"
+#include "analysis/reachdef.hh"
 #include "ir/types.hh"
 
 namespace fits::oracle {
@@ -474,6 +475,19 @@ referenceReachingDefs(const analysis::Cfg &cfg, const ir::Function &fn,
     }
 
     return result;
+}
+
+/** The flat stmtDeps of a ReachingDefs result, nested [block][stmt] as
+ * the oracle stores them. */
+inline std::vector<std::vector<std::uint8_t>>
+nestedDeps(const analysis::ReachingDefs::Result &result)
+{
+    std::vector<std::vector<std::uint8_t>> rows;
+    for (std::size_t b = 0; b + 1 < result.blockStart.size(); ++b) {
+        const auto deps = result.depsOf(b);
+        rows.emplace_back(deps.begin(), deps.end());
+    }
+    return rows;
 }
 
 } // namespace fits::oracle

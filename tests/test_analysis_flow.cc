@@ -200,7 +200,7 @@ TEST(ReachDef, ParamFlowsThroughTmpChain)
     b.ret();
     FlowFixture f(b.build(0), nullptr, 1);
     // The final PUT depends on param 0.
-    EXPECT_EQ(f.flow.stmtDeps[0][4], 0b1);
+    EXPECT_EQ(f.flow.dep(0, 4), 0b1);
 }
 
 TEST(ReachDef, BranchDependenceMask)
@@ -241,7 +241,7 @@ TEST(ReachDef, ParamThroughConstAddressMemory)
     b.ret();
     FlowFixture f(b.build(0), nullptr, 1);
     // The load's deps include param 0 via the memory cell.
-    EXPECT_EQ(f.flow.stmtDeps[0][2], 0b1);
+    EXPECT_EQ(f.flow.dep(0, 2), 0b1);
 }
 
 TEST(ReachDef, LoopCarriedDependence)
@@ -269,7 +269,7 @@ TEST(ReachDef, LoopCarriedDependence)
     b.ret();
     FlowFixture f(b.build(0), nullptr, 1);
     // The loop-exit branch depends on param 0 through the back edge.
-    EXPECT_EQ(f.flow.stmtDeps[1][1], 0b1);
+    EXPECT_EQ(f.flow.dep(1, 1), 0b1);
     EXPECT_EQ(f.flow.branchDepMask, 0b1);
 }
 
@@ -282,7 +282,7 @@ TEST(ReachDef, CallArgumentsExcludeStaleParams)
     b.call(0x8000);
     b.ret();
     FlowFixture f(b.build(0), nullptr, 4);
-    EXPECT_EQ(f.flow.stmtDeps[0][0], 0);
+    EXPECT_EQ(f.flow.dep(0, 0), 0);
 }
 
 TEST(ReachDef, CallArgumentsIncludeMaterializedParams)
@@ -293,7 +293,7 @@ TEST(ReachDef, CallArgumentsIncludeMaterializedParams)
     b.call(0x8000);
     b.ret();
     FlowFixture f(b.build(0), nullptr, 1);
-    EXPECT_EQ(f.flow.stmtDeps[0][2], 0b1); // the call statement
+    EXPECT_EQ(f.flow.dep(0, 2), 0b1); // the call statement
 }
 
 TEST(ReachDef, CallReturnIsParamDependentIfArgsAre)
@@ -308,7 +308,7 @@ TEST(ReachDef, CallReturnIsParamDependentIfArgsAre)
     FlowFixture f(b.build(0), nullptr, 1);
     // GET(r0) after the call sees the call's definition of r0, whose
     // taint came from the materialized argument.
-    EXPECT_EQ(f.flow.stmtDeps[0][3], 0b1);
+    EXPECT_EQ(f.flow.dep(0, 3), 0b1);
 }
 
 TEST(ReachDef, DefUseChainsPopulated)
@@ -325,7 +325,7 @@ TEST(ReachDef, DefUseChainsPopulated)
     const oracle::Definition &def = ddg.defs[ddg.useDefs[0][1][0]];
     EXPECT_EQ(def.target, oracle::Definition::Target::Tmp);
     EXPECT_EQ(def.tmp, a);
-    EXPECT_EQ(ddg.stmtDeps, f.flow.stmtDeps);
+    EXPECT_EQ(ddg.stmtDeps, oracle::nestedDeps(f.flow));
 }
 
 // ---- Table-2 backtracker ---------------------------------------------

@@ -88,8 +88,8 @@ TEST_P(InvariantSweep, ParamMasksStayWithinInferredParams)
             FunctionAnalysis::analyze(result.image, fn);
         const std::uint8_t allowed = static_cast<std::uint8_t>(
             (1u << fa.params.count) - 1);
-        for (std::size_t b = 0; b < fa.flow.stmtDeps.size(); ++b) {
-            for (std::uint8_t mask : fa.flow.stmtDeps[b]) {
+        for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+            for (std::uint8_t mask : fa.flow.depsOf(b)) {
                 EXPECT_EQ(mask & ~allowed, 0)
                     << "dependence on a non-parameter in fn "
                     << support::hex(fn.entry);

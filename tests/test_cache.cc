@@ -155,7 +155,8 @@ summarize(const std::vector<analysis::FunctionAnalysis> &fns)
     std::vector<std::string> out;
     for (const auto &fa : fns) {
         std::string masks;
-        for (const auto &row : fa.flow.stmtDeps) {
+        for (std::size_t b = 0; b < fa.fn->blocks.size(); ++b) {
+            const auto row = fa.flow.depsOf(b);
             masks.append(row.begin(), row.end());
             masks.push_back('|');
         }

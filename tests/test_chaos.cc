@@ -13,8 +13,10 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "analysis/function_analysis.hh"
 #include "binary/fbin.hh"
 #include "chaos/chaos.hh"
 #include "core/pipeline.hh"
@@ -666,6 +668,35 @@ TEST(Corruption, SeededFbinMutationsFailTypedThroughBothEngines)
     // loader's rejections alike.
     EXPECT_GT(failed, 0u);
     EXPECT_GT(analyzed, 0u);
+}
+
+TEST(Corruption, DeepBlockChainAnalyzesOnWorkerStack)
+{
+    // A valid function whose 250,000 blocks each jump to the next: a
+    // recursive depth-first walk of its CFG overflows a thread stack.
+    ir::Function chain;
+    chain.entry = 0x10000;
+    const std::size_t depth = 250000;
+    chain.blocks.reserve(depth);
+    for (std::size_t i = 0; i < depth; ++i) {
+        ir::BasicBlock block;
+        block.addr = chain.entry + 0x10 * i;
+        if (i + 1 < depth)
+            block.stmts.push_back(ir::Stmt::jump(block.addr + 0x10));
+        else
+            block.stmts.push_back(ir::Stmt::ret());
+        chain.blocks.push_back(std::move(block));
+    }
+    const bin::BinaryImage image;
+    std::size_t reachable = 0, backEdges = 1;
+    std::thread worker([&] {
+        const auto fa = analysis::FunctionAnalysis::analyze(image, chain);
+        reachable = fa.cfg.rpo().size();
+        backEdges = fa.loops.backEdges.size();
+    });
+    worker.join();
+    EXPECT_EQ(reachable, depth);
+    EXPECT_EQ(backEdges, 0u);
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include "analysis/reachdef.hh"
 #include "chaos/chaos.hh"
 #include "core/pipeline.hh"
+#include "random_ir.hh"
 #include "reachdef_oracle.hh"
 #include "support/rng.hh"
 #include "synth/firmware_gen.hh"
@@ -29,10 +30,7 @@ using analysis::TmpConstMap;
 using ir::Operand;
 using ir::Stmt;
 using ir::StmtKind;
-
-constexpr ir::Addr kBlockBase = 0x10000;
-constexpr ir::Addr kBlockStride = 0x100;
-constexpr ir::TmpId kTmpPool = 10;
+using testgen::randomFunction;
 
 /** Shapes a random function exercised; the sweep asserts each shows. */
 struct Coverage
@@ -45,110 +43,6 @@ struct Coverage
     int nonzeroMasks = 0;
     std::set<int> numParams;
 };
-
-/**
- * A random function of up to eight blocks. Temporaries come from a
- * small pool, so they are redefined and read across blocks; addresses
- * come from a small pool of constants (plus temporaries, mostly not
- * constant), so loads and stores alias; branch and jump targets include
- * the entry. Half the functions have no unknown-address stores and
- * half have no calls, which keep the unknown memory cell clean enough
- * for the constant cells' overwrites to show in the masks.
- */
-ir::Function
-randomFunction(support::Rng &rng)
-{
-    ir::Function fn;
-    fn.entry = kBlockBase;
-    fn.numTmps = kTmpPool;
-    const int numBlocks = static_cast<int>(rng.uniformInt(1, 8));
-    const auto blockAddr = [&] {
-        return kBlockBase + kBlockStride * rng.index(numBlocks);
-    };
-    const auto tmp = [&] {
-        return static_cast<ir::TmpId>(rng.index(kTmpPool));
-    };
-    const auto operand = [&] {
-        return rng.chance(0.75) ? Operand::ofTmp(tmp())
-                                : Operand::ofImm(rng.index(3));
-    };
-    const std::vector<std::uint64_t> addrs = {0x500000, 0x500004,
-                                              0x500008};
-    const auto address = [&](double unknown) {
-        return rng.chance(unknown) ? Operand::ofTmp(tmp())
-                                   : Operand::ofImm(rng.pick(addrs));
-    };
-    const double unknownStores = rng.chance(0.5) ? 0.5 : 0.0;
-    const bool withCalls = rng.chance(0.5);
-    const auto reg = [&] {
-        return static_cast<ir::RegId>(
-            rng.chance(0.7) ? rng.index(ir::kNumArgRegs)
-                            : rng.index(ir::kNumRegs));
-    };
-
-    for (int b = 0; b < numBlocks; ++b) {
-        ir::BasicBlock block;
-        block.addr = kBlockBase + kBlockStride * static_cast<ir::Addr>(b);
-        const int numStmts = static_cast<int>(rng.uniformInt(0, 10));
-        for (int s = 0; s < numStmts; ++s) {
-            switch (rng.index(9)) {
-              case 0:
-                block.stmts.push_back(Stmt::get(tmp(), reg()));
-                break;
-              case 1:
-                block.stmts.push_back(Stmt::put(reg(), operand()));
-                break;
-              case 2:
-                block.stmts.push_back(Stmt::cnst(
-                    tmp(), rng.chance(0.7) ? rng.pick(addrs) : 7));
-                break;
-              case 3:
-                block.stmts.push_back(Stmt::binop(
-                    tmp(), rng.chance(0.5) ? ir::BinOp::Add
-                                           : ir::BinOp::CmpLt,
-                    operand(), operand()));
-                break;
-              case 4:
-                block.stmts.push_back(Stmt::load(tmp(), address(0.5)));
-                break;
-              case 5:
-                block.stmts.push_back(
-                    Stmt::store(address(unknownStores), operand()));
-                break;
-              case 6:
-                if (!withCalls)
-                    block.stmts.push_back(Stmt::store(
-                        address(unknownStores), operand()));
-                else if (rng.chance(0.8))
-                    block.stmts.push_back(Stmt::call(0x90000));
-                else
-                    block.stmts.push_back(
-                        Stmt::callIndirect(Operand::ofTmp(tmp())));
-                break;
-              default:
-                block.stmts.push_back(
-                    Stmt::branch(operand(), blockAddr()));
-                break;
-            }
-        }
-        switch (rng.index(4)) {
-          case 0:
-            block.stmts.push_back(Stmt::ret());
-            break;
-          case 1:
-            block.stmts.push_back(Stmt::jump(blockAddr()));
-            break;
-          case 2:
-            block.stmts.push_back(
-                Stmt::jumpIndirect(Operand::ofTmp(tmp())));
-            break;
-          default:
-            break; // fall through to the next block
-        }
-        fn.blocks.push_back(std::move(block));
-    }
-    return fn;
-}
 
 void
 recordCoverage(const ir::Function &fn, const Cfg &cfg,
@@ -205,11 +99,12 @@ expectSizedSubset(const ir::Function &fn,
                   const ReachingDefs::Result &got,
                   const oracle::ReachDefResult &want)
 {
-    ASSERT_EQ(got.stmtDeps.size(), fn.blocks.size());
+    const auto rows = oracle::nestedDeps(got);
+    ASSERT_EQ(rows.size(), fn.blocks.size());
     for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-        ASSERT_EQ(got.stmtDeps[b].size(), fn.blocks[b].stmts.size());
-        for (std::size_t s = 0; s < got.stmtDeps[b].size(); ++s)
-            EXPECT_EQ(got.stmtDeps[b][s] & ~want.stmtDeps[b][s], 0);
+        ASSERT_EQ(rows[b].size(), fn.blocks[b].stmts.size());
+        for (std::size_t s = 0; s < rows[b].size(); ++s)
+            EXPECT_EQ(rows[b][s] & ~want.stmtDeps[b][s], 0);
     }
     EXPECT_EQ(got.branchDepMask & ~want.branchDepMask, 0);
 }
@@ -241,7 +136,7 @@ TEST_F(ReachDefOracle, EveryStandardCorpusFunction)
                          std::to_string(spec.seed) + " fn " +
                          std::to_string(fa.fn->entry));
             ASSERT_FALSE(fa.flow.deadlineExpired);
-            ASSERT_EQ(fa.flow.stmtDeps, want.stmtDeps);
+            ASSERT_EQ(oracle::nestedDeps(fa.flow), want.stmtDeps);
             ASSERT_EQ(fa.flow.branchDepMask, want.branchDepMask);
             ++(pa.linked->isMainFn(id) ? mainFns : libFns);
             nonzero += fa.flow.branchDepMask != 0;
@@ -267,7 +162,7 @@ TEST_F(ReachDefOracle, SeededRandomCfgs)
             oracle::referenceReachingDefs(cfg, fn, consts, numParams);
         SCOPED_TRACE("seed " + std::to_string(seed));
         ASSERT_FALSE(got.deadlineExpired);
-        ASSERT_EQ(got.stmtDeps, want.stmtDeps);
+        ASSERT_EQ(oracle::nestedDeps(got), want.stmtDeps);
         ASSERT_EQ(got.branchDepMask, want.branchDepMask);
         recordCoverage(fn, cfg, consts, numParams, want, cov);
     }
@@ -310,11 +205,11 @@ TEST_F(ReachDefOracle, ChaosSiteZeroesEveryMask)
         SCOPED_TRACE("seed " + std::to_string(seed));
         EXPECT_TRUE(got.deadlineExpired);
         EXPECT_EQ(got.branchDepMask, 0);
-        ASSERT_EQ(got.stmtDeps.size(), fn.blocks.size());
+        const auto rows = oracle::nestedDeps(got);
+        ASSERT_EQ(rows.size(), fn.blocks.size());
         for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-            EXPECT_EQ(got.stmtDeps[b],
-                      std::vector<std::uint8_t>(
-                          fn.blocks[b].stmts.size(), 0));
+            EXPECT_EQ(rows[b], std::vector<std::uint8_t>(
+                                   fn.blocks[b].stmts.size(), 0));
         }
     }
 }

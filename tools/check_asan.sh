@@ -32,6 +32,6 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
 # temporaries and the binary-searched call sites.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='ChaosTest.*:Corruption.*:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips:DbscanOracle.*:BundleOracle.*:Hash64.*:CacheTest.FormatVersionSkew*:ReachDefOracle.*:StaOracle.*:KaronteOracle.*'
+    --gtest_filter='ChaosTest.*:Corruption.*:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips:DbscanOracle.*:BundleOracle.*:Hash64.*:CacheTest.FormatVersionSkew*:ReachDefOracle.*:AnalysisOracle.*:StaOracle.*:KaronteOracle.*'
 
 echo "asan: no memory errors detected"

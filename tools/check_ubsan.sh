@@ -26,6 +26,6 @@ fits_sanitized_tests "$BUILD" undefined
 
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='ChaosTest.*:Deadline.*:Corruption.*:Fbin.*:ByteBuf.*:Fwimg.*:DbscanOracle.*:CacheTest.*Bundle*:CacheTest.DecodeRejects*:BundleOracle.*:Hash64.*:CacheTest.FormatVersionSkew*:ReachDefOracle.*:StaOracle.*:KaronteOracle.*'
+    --gtest_filter='ChaosTest.*:Deadline.*:Corruption.*:Fbin.*:ByteBuf.*:Fwimg.*:DbscanOracle.*:CacheTest.*Bundle*:CacheTest.DecodeRejects*:BundleOracle.*:Hash64.*:CacheTest.FormatVersionSkew*:ReachDefOracle.*:AnalysisOracle.*:StaOracle.*:KaronteOracle.*'
 
 echo "ubsan: no undefined behavior detected"
