@@ -1,18 +1,19 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark) of the analysis primitives the
- * FITS pipeline is built on: FBIN decode/lift, UCSE exploration, CFG +
- * loop analysis, reaching definitions, Table-2 backtracking, DBSCAN,
- * and Eq.-2 scoring. These are the ingredients whose costs compose
- * into the Figure 4 curves. BM_StaRun and BM_KaronteRun time the two
- * taint engines on a standard-corpus sample. BM_BundleDecode and
- * BM_Hash64 time the warm
- * behavior-cache hit path instead: bundle decode and the disk-entry
- * checksum.
+ * FITS pipeline is built on: FBIN decode/lift, UCSE exploration, the
+ * per-function analysis chain (BM_FunctionAnalysis: UCSE, CFG, loops,
+ * constants, parameters, reaching definitions), reaching definitions,
+ * Table-2 backtracking, DBSCAN, and Eq.-2 scoring. These are the
+ * ingredients whose costs compose into the Figure 4 curves. BM_StaRun
+ * and BM_KaronteRun time the two taint engines on a standard-corpus
+ * sample. BM_BundleDecode and BM_Hash64 time the warm behavior-cache
+ * hit path instead: bundle decode and the disk-entry checksum.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <string>
 
 #include "analysis/program_analysis.hh"
@@ -394,6 +395,26 @@ main(int argc, char **argv)
     fits::obs::setEnabled(false);
     const auto repeated = fits::obs::Registry::instance().snapshot();
 
+    // Main-binary analysis of the same corpus sample: every main
+    // function through FunctionAnalysis::analyze, untraced, as the
+    // mean of 200 runs.
+    constexpr int kAnalysisRuns = kRepetitions / 5;
+    double analysisMs = 0.0;
+    for (int i = 0; i < kAnalysisRuns; ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        for (fits::analysis::FnId id = 0; id < taintPa.fns.size(); ++id) {
+            if (!taintPa.linked->isMainFn(id))
+                continue;
+            const auto &fa = taintPa.fns[id];
+            benchmark::DoNotOptimize(
+                fits::analysis::FunctionAnalysis::analyze(*fa.image,
+                                                          *fa.fn));
+        }
+        analysisMs += std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    }
+
     // One obs-instrumented pass over the shared sample captures the
     // hot-kernel spans (kernel.reachdef from whole-program analysis,
     // kernel.cluster from inference) so BENCH_micro.json records their
@@ -446,6 +467,8 @@ main(int argc, char **argv)
     addKernelMean("kernel_rank", "kernel.rank");
     addKernelMean("kernel_sta", "taint/sta");
     addKernelMean("kernel_karonte", "taint/karonte");
+    record.add("kernel_function_analysis_ms", analysisMs / kAnalysisRuns);
+    record.add("kernel_function_analysis_calls", kAnalysisRuns);
     // Work counts of the clustering kernel. Unlike the span times they
     // depend only on the input, not on the machine.
     for (const char *count : {"rows", "distinct_rows", "distance_evals"}) {
