@@ -28,12 +28,13 @@ namespace {
 using namespace fits;
 
 eval::PrecisionStats
-rerank(const std::vector<eval::InferenceOutcome> &outcomes,
+rerank(const std::vector<eval::CorpusRunner::FullOutcome> &outcomes,
        const core::InferConfig &config,
        std::size_t anchorLimit = SIZE_MAX)
 {
     eval::PrecisionStats stats;
-    for (const auto &outcome : outcomes) {
+    for (const auto &full : outcomes) {
+        const auto &outcome = full.inference;
         if (!outcome.ok) {
             stats.addRank(-1);
             continue;
@@ -69,16 +70,19 @@ main()
 {
     std::printf("=== Design-choice ablations ===\n\n");
 
-    // Analyze the corpus once (stripped) and once in vendor mode;
-    // each pass generates samples inside the runner's workers.
-    const auto specs = synth::standardDataset();
-    auto vendorSpecs = specs;
-    for (auto &spec : vendorSpecs)
-        spec.keepSymbols = true;
-
+    // Analyze the corpus once (stripped) and once in vendor mode.
+    // The stripped corpus is kept for the UCSE-off pass of D.
+    const auto corpus = synth::generateStandardCorpus();
     const eval::CorpusRunner runner;
-    const auto stripped = runner.runInferenceOnSpecs(specs);
-    const auto vendor = runner.runInferenceOnSpecs(vendorSpecs);
+    const auto stripped = runner.run(corpus, false);
+    const auto vendor = [&] {
+        std::vector<synth::GeneratedFirmware> unstripped;
+        for (auto spec : synth::standardDataset()) {
+            spec.keepSymbols = true;
+            unstripped.push_back(synth::generateFirmware(spec));
+        }
+        return runner.run(unstripped, false);
+    }();
 
     // ---- A: vendor mode ---------------------------------------------
     std::printf("A. Symbol-name prior (Discussion §5 vendor mode)\n");
@@ -140,8 +144,7 @@ main()
     {
         eval::CorpusRunner::Config config;
         config.pipeline.behavior.ucse.maxSteps = 0; // resolver off
-        const auto noUcse =
-            eval::CorpusRunner(config).runInferenceOnSpecs(specs);
+        const auto noUcse = eval::CorpusRunner(config).run(corpus, false);
         eval::TablePrinter table({"Configuration", "Top-1", "Top-2",
                                   "Top-3"});
         addRow(table, "UCSE on (ours)",
@@ -175,7 +178,7 @@ main()
     }
 
     obs::BenchRecord record("ablation_design");
-    record.add("samples", static_cast<double>(specs.size()));
+    record.add("samples", static_cast<double>(corpus.size()));
     record.add("stripped_top1", strippedStats.p1());
     record.add("stripped_top3", strippedStats.p3());
     record.add("vendor_prior_top1", vendorPriorStats.p1());

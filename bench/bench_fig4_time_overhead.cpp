@@ -29,8 +29,8 @@ main()
     const auto corpus = synth::generateStandardCorpus();
 
     std::vector<double> fns, bytes, ms;
-    for (const auto &outcome :
-         eval::CorpusRunner().runInference(corpus)) {
+    for (const auto &full : eval::CorpusRunner().run(corpus, false)) {
+        const auto &outcome = full.inference;
         if (!outcome.ok)
             continue;
         fns.push_back(static_cast<double>(outcome.numFunctions));

@@ -22,11 +22,12 @@ using namespace fits;
 
 /** Re-rank every analyzed sample under one inference config. */
 eval::PrecisionStats
-rerank(const std::vector<eval::InferenceOutcome> &outcomes,
+rerank(const std::vector<eval::CorpusRunner::FullOutcome> &outcomes,
        const core::InferConfig &config)
 {
     eval::PrecisionStats stats;
-    for (const auto &outcome : outcomes) {
+    for (const auto &full : outcomes) {
+        const auto &outcome = full.inference;
         if (!outcome.ok) {
             stats.addRank(-1);
             continue;
@@ -51,7 +52,7 @@ main()
 
     // The expensive pass happens once (fanned out across workers);
     // every variant only re-ranks the retained representations.
-    const auto outcomes = eval::CorpusRunner().runInference(corpus);
+    const auto outcomes = eval::CorpusRunner().run(corpus, false);
 
     eval::TablePrinter table(
         {"Variant", "Removed feature", "Top-1", "Top-2", "Top-3"});

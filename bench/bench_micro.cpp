@@ -367,8 +367,9 @@ main(int argc, char **argv)
     const fits::core::BehaviorAnalyzer analyzer;
     const auto repr = analyzer.analyze(pa);
 
-    // Spans too short to time once (kernel.rank takes microseconds)
-    // are timed over many calls and recorded as the per-call mean.
+    // Spans too short to time once (kernel.cluster and kernel.rank
+    // take microseconds) are timed over many calls and recorded as the
+    // per-call mean.
     constexpr int kRepetitions = 1000;
     fits::obs::Registry::instance().reset();
     fits::obs::setEnabled(true);
@@ -395,13 +396,21 @@ main(int argc, char **argv)
     fits::obs::setEnabled(false);
     const auto repeated = fits::obs::Registry::instance().snapshot();
 
-    // Main-binary analysis of the same corpus sample: every main
-    // function through FunctionAnalysis::analyze, untraced, as the
-    // mean of 200 runs.
+    // Main-binary analysis of the same corpus sample, untraced, as the
+    // mean of 200 runs: every main function through
+    // FunctionAnalysis::analyze, and then through its parameter
+    // dataflow alone (ReachingDefs::analyze on the function's own CFG,
+    // constants and parameter count).
     constexpr int kAnalysisRuns = kRepetitions / 5;
+    const auto msSince = [](std::chrono::steady_clock::time_point start) {
+        return std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
     double analysisMs = 0.0;
+    double reachdefMs = 0.0;
     for (int i = 0; i < kAnalysisRuns; ++i) {
-        const auto start = std::chrono::steady_clock::now();
+        auto start = std::chrono::steady_clock::now();
         for (fits::analysis::FnId id = 0; id < taintPa.fns.size(); ++id) {
             if (!taintPa.linked->isMainFn(id))
                 continue;
@@ -410,16 +419,22 @@ main(int argc, char **argv)
                 fits::analysis::FunctionAnalysis::analyze(*fa.image,
                                                           *fa.fn));
         }
-        analysisMs += std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
+        analysisMs += msSince(start);
+
+        start = std::chrono::steady_clock::now();
+        for (fits::analysis::FnId id = 0; id < taintPa.fns.size(); ++id) {
+            if (!taintPa.linked->isMainFn(id))
+                continue;
+            const auto &fa = taintPa.fns[id];
+            benchmark::DoNotOptimize(fits::analysis::ReachingDefs::analyze(
+                fa.cfg, *fa.fn, fa.consts, fa.params.count));
+        }
+        reachdefMs += msSince(start);
     }
 
     // One obs-instrumented pass over the shared sample captures the
-    // hot-kernel spans (kernel.reachdef from whole-program analysis,
-    // kernel.cluster from inference) so BENCH_micro.json records their
-    // absolute cost alongside the benchmark rates. The record's
-    // metrics block is this pass's registry.
+    // clustering work counts. The record's metrics block is this
+    // pass's registry.
     fits::obs::Registry::instance().reset();
     fits::obs::setEnabled(true);
     {
@@ -435,35 +450,23 @@ main(int argc, char **argv)
     record.add("benchmarks_run", static_cast<double>(run));
     // Spans nest under their parent ("cluster/kernel.cluster"), so
     // match the leaf name anywhere in the hierarchy.
-    const auto findSpan = [](const fits::obs::Snapshot &snap,
-                             const std::string &span)
-        -> const fits::obs::Snapshot::TimerView * {
-        for (const auto &[name, view] : snap.timers) {
-            if (name == span ||
-                (name.size() > span.size() &&
-                 name.compare(name.size() - span.size() - 1,
-                              std::string::npos, "/" + span) == 0))
-                return &view;
-        }
-        return nullptr;
-    };
-    const auto addKernel = [&](const std::string &key,
-                               const std::string &span) {
-        if (const auto *view = findSpan(snapshot, span)) {
-            record.add(key + "_ms", view->totalMs);
-            record.add(key + "_calls", static_cast<double>(view->count));
-        }
-    };
     const auto addKernelMean = [&](const std::string &key,
                                    const std::string &span) {
-        if (const auto *view = findSpan(repeated, span)) {
+        for (const auto &[name, view] : repeated.timers) {
+            if (name != span &&
+                (name.size() <= span.size() ||
+                 name.compare(name.size() - span.size() - 1,
+                              std::string::npos, "/" + span) != 0))
+                continue;
             record.add(key + "_ms",
-                       view->totalMs / static_cast<double>(view->count));
-            record.add(key + "_calls", static_cast<double>(view->count));
+                       view.totalMs / static_cast<double>(view.count));
+            record.add(key + "_calls", static_cast<double>(view.count));
+            return;
         }
     };
-    addKernel("kernel_reachdef", "kernel.reachdef");
-    addKernel("kernel_cluster", "kernel.cluster");
+    record.add("kernel_reachdef_ms", reachdefMs / kAnalysisRuns);
+    record.add("kernel_reachdef_calls", kAnalysisRuns);
+    addKernelMean("kernel_cluster", "kernel.cluster");
     addKernelMean("kernel_rank", "kernel.rank");
     addKernelMean("kernel_sta", "taint/sta");
     addKernelMean("kernel_karonte", "taint/karonte");

@@ -51,7 +51,7 @@ main()
     std::printf("(%zu samples, %zu worker threads — set FITS_JOBS to "
                 "override)\n\n",
                 corpus.size(), runner.jobs());
-    const auto outcomes = runner.runInference(corpus);
+    const auto outcomes = runner.run(corpus, false);
 
     // Group key: (latest?, vendor), in the paper's row order.
     std::map<std::pair<bool, std::string>, GroupStats> groups;
@@ -61,7 +61,7 @@ main()
 
     for (std::size_t s = 0; s < corpus.size(); ++s) {
         const auto &fw = corpus[s];
-        const auto &outcome = outcomes[s];
+        const auto &outcome = outcomes[s].inference;
         auto &group = groups[{fw.spec.latest,
                               fw.spec.profile.vendor}];
         ++group.count;

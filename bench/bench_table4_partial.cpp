@@ -23,7 +23,7 @@ main()
     std::printf("=== Table 4: partial ITS inference results ===\n\n");
 
     const auto corpus = synth::generateStandardCorpus();
-    const auto outcomes = eval::CorpusRunner().runInference(corpus);
+    const auto outcomes = eval::CorpusRunner().run(corpus, false);
 
     eval::TablePrinter table({"Vendor", "Firmware", "Binary",
                               "#Functions", "ITS addr.", "Ranking"});
@@ -32,7 +32,7 @@ main()
     std::map<std::string, int> shown;
     for (std::size_t s = 0; s < corpus.size(); ++s) {
         const auto &fw = corpus[s];
-        const auto &outcome = outcomes[s];
+        const auto &outcome = outcomes[s].inference;
         const std::string &vendor = fw.spec.profile.vendor;
         if (shown[vendor] >= 3)
             continue;

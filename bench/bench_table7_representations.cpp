@@ -22,7 +22,7 @@ main()
                 "representations ===\n\n");
 
     const auto corpus = synth::generateStandardCorpus();
-    const auto outcomes = eval::CorpusRunner().runInference(corpus);
+    const auto outcomes = eval::CorpusRunner().run(corpus, false);
 
     eval::TablePrinter table(
         {"", "Augmented-CFG", "Attributed-CFG", "BFV"});
@@ -36,7 +36,8 @@ main()
     for (int r = 0; r < 3; ++r) {
         core::InferConfig config;
         config.representation = reprs[r];
-        for (const auto &outcome : outcomes) {
+        for (const auto &full : outcomes) {
+            const auto &outcome = full.inference;
             if (!outcome.ok) {
                 stats[r].addRank(-1);
                 continue;

@@ -42,7 +42,7 @@ main(int argc, char **argv)
     eval::PrecisionStats overall;
 
     for (const auto &profile : profiles) {
-        std::vector<synth::SampleSpec> specs;
+        std::vector<synth::GeneratedFirmware> samples;
         for (int i = 0; i < perVendor; ++i) {
             synth::SampleSpec spec;
             spec.profile = profile;
@@ -53,14 +53,14 @@ main(int argc, char **argv)
             spec.name = spec.product + "-" + spec.version;
             spec.seed = 0x5feed00 + 131 * static_cast<unsigned>(i) +
                         support::fnv1a(profile.vendor);
-            specs.push_back(std::move(spec));
+            samples.push_back(synth::generateFirmware(spec));
         }
 
         eval::PrecisionStats stats;
         double totalMs = 0.0;
         std::size_t totalFns = 0;
-        for (const auto &outcome :
-             runner.runInferenceOnSpecs(specs)) {
+        for (const auto &full : runner.run(samples, false)) {
+            const auto &outcome = full.inference;
             const int rank = outcome.ok ? outcome.firstItsRank : -1;
             stats.addRank(rank);
             overall.addRank(rank);

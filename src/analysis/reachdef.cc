@@ -248,7 +248,6 @@ ReachingDefs::analyze(const Cfg &cfg, const ir::Function &fn,
                       const TmpConstMap &consts, int numParams,
                       support::Deadline deadline)
 {
-    const obs::ScopedTimer kernelTimer("kernel.reachdef");
     Result result;
     const std::size_t n = fn.blocks.size();
     result.blockStart.resize(n + 1);

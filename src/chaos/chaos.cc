@@ -18,8 +18,8 @@ using support::Stage;
 
 std::atomic<bool> g_enabled{false};
 
-/** The static fault-site catalog. Order is append-only and stable so
- * tests and docs can rely on it. */
+/** The static fault-site catalog. Site names are stable; fire
+ * decisions hash the name, never the catalog position. */
 const std::vector<SiteInfo> &
 catalog()
 {
@@ -40,7 +40,6 @@ catalog()
          "FBIN decode rejects the binary outright"},
         {"fbin.truncate", Stage::Lift,
          "FBIN decode sees only the front half of the buffer"},
-        {"ir.parse", Stage::IrParse, "textual FIR parse fails"},
         {"ucse.explore", Stage::Ucse,
          "symbolic exploration aborts before the first step"},
         {"flow.reachdef", Stage::Flow,

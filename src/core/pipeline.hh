@@ -17,10 +17,13 @@ namespace fits::core {
 
 /**
  * Per-stage wall-clock budgets in milliseconds; 0 = unlimited. The
- * default is taken from FITS_STAGE_TIMEOUT_MS (0 when unset), so an
- * operator can bound every stage of a corpus run with one knob. An
- * expired budget degrades the result (partial data, `degraded` set)
- * rather than failing it.
+ * default is taken from FITS_STAGE_TIMEOUT_MS (0 when unset). One knob
+ * bounds the two stages that check a deadline: the behavior stage's
+ * UCSE exploration plus parameter dataflow, and each of the two taint
+ * engines (STA, Karonte). Unpack, lift, BFV extraction, DBSCAN and
+ * ranking check no deadline and are not bounded by it. An expired
+ * budget degrades the result (partial data, `degraded` set) rather
+ * than failing it.
  */
 struct StageBudgets
 {

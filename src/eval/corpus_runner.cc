@@ -16,21 +16,14 @@ retryable(const InferenceOutcome &outcome)
            outcome.status.isTransient();
 }
 
-} // namespace
-
-CorpusRunner::CorpusRunner(Config config)
-    : config_(std::move(config)),
-      jobs_(support::resolveJobs(config_.jobs))
-{
-}
-
+/** Reduced-budget pipeline config used for the one retry a
+ * transiently-failed sample gets. */
 core::PipelineConfig
-CorpusRunner::degradedPipelineConfig() const
+degradedPipelineConfig(core::PipelineConfig config)
 {
     // The retry runs under a reduced UCSE budget: a sample that timed
     // out (or tripped a transient fault) gets one more chance to
     // produce a partial result instead of none.
-    core::PipelineConfig config = config_.pipeline;
     config.behavior.ucse.maxSteps = std::min<std::size_t>(
         config.behavior.ucse.maxSteps, 10000);
     config.behavior.ucse.maxVisitsPerBlock = std::min<std::size_t>(
@@ -42,129 +35,46 @@ CorpusRunner::degradedPipelineConfig() const
     return config;
 }
 
-core::PipelineConfig
-CorpusRunner::inferencePipelineConfig() const
-{
-    core::PipelineConfig config = config_.pipeline;
-    config.behaviorCache = config_.cache;
-    return config;
-}
+} // namespace
 
-core::PipelineConfig
-CorpusRunner::taintPipelineConfig() const
+CorpusRunner::CorpusRunner(Config config)
+    : config_(std::move(config)),
+      jobs_(support::resolveJobs(config_.jobs))
 {
-    core::PipelineConfig config = config_.pipeline;
-    config.behaviorCache = false;
-    return config;
-}
-
-std::vector<InferenceOutcome>
-CorpusRunner::runInference(
-    const std::vector<synth::GeneratedFirmware> &corpus) const
-{
-    const core::PipelineConfig pipeline = inferencePipelineConfig();
-    return map<InferenceOutcome>(
-        corpus.size(),
-        [&](std::size_t i) {
-            auto outcome = eval::runInference(corpus[i], pipeline);
-            if (retryable(outcome)) {
-                obs::addCounter("corpus.retries");
-                outcome = eval::runInference(
-                    corpus[i], degradedPipelineConfig());
-                outcome.retried = true;
-            }
-            return outcome;
-        },
-        [&](std::size_t i, const std::string &message) {
-            InferenceOutcome outcome;
-            outcome.spec = corpus[i].spec;
-            outcome.truth = corpus[i].truth;
-            outcome.error = "worker exception: " + message;
-            outcome.status = support::Status::internal(outcome.error);
-            return outcome;
-        });
-}
-
-std::vector<InferenceOutcome>
-CorpusRunner::runInferenceOnSpecs(
-    const std::vector<synth::SampleSpec> &specs) const
-{
-    const core::PipelineConfig pipeline = inferencePipelineConfig();
-    return map<InferenceOutcome>(
-        specs.size(),
-        [&](std::size_t i) {
-            const auto fw = synth::generateFirmware(specs[i]);
-            auto outcome = eval::runInference(fw, pipeline);
-            if (retryable(outcome)) {
-                obs::addCounter("corpus.retries");
-                outcome =
-                    eval::runInference(fw, degradedPipelineConfig());
-                outcome.retried = true;
-            }
-            return outcome;
-        },
-        [&](std::size_t i, const std::string &message) {
-            InferenceOutcome outcome;
-            outcome.spec = specs[i];
-            outcome.error = "worker exception: " + message;
-            outcome.status = support::Status::internal(outcome.error);
-            return outcome;
-        });
-}
-
-std::vector<TaintOutcome>
-CorpusRunner::runTaint(
-    const std::vector<synth::GeneratedFirmware> &corpus) const
-{
-    const core::PipelineConfig pipeline = taintPipelineConfig();
-    return map<TaintOutcome>(
-        corpus.size(),
-        [&](std::size_t i) {
-            auto outcome = eval::runTaint(corpus[i], pipeline);
-            if (!outcome.ok && !outcome.status.isOk() &&
-                outcome.status.isTransient()) {
-                obs::addCounter("corpus.retries");
-                outcome = eval::runTaint(corpus[i],
-                                         degradedPipelineConfig());
-                outcome.retried = true;
-            }
-            return outcome;
-        },
-        [&](std::size_t i, const std::string &message) {
-            TaintOutcome outcome;
-            outcome.spec = corpus[i].spec;
-            outcome.error = "worker exception: " + message;
-            outcome.status = support::Status::internal(outcome.error);
-            return outcome;
-        });
 }
 
 std::vector<CorpusRunner::FullOutcome>
-CorpusRunner::runFull(
-    const std::vector<synth::GeneratedFirmware> &corpus) const
+CorpusRunner::run(const std::vector<synth::GeneratedFirmware> &corpus,
+                  bool taint) const
 {
+    core::PipelineConfig pipeline = config_.pipeline;
+    // A behavior-cache hit carries no analysis chain for the taint
+    // engines to reuse, so taint runs always re-analyze.
+    pipeline.behaviorCache = config_.cache && !taint;
+    const core::PipelineConfig degraded =
+        degradedPipelineConfig(config_.pipeline);
+
+    const auto evaluate = [&](const synth::GeneratedFirmware &fw,
+                              const core::PipelineConfig &config) {
+        const core::PipelineArtifact artifact =
+            core::FitsPipeline(config).analyze(fw.bytes);
+        FullOutcome full;
+        full.inference = inferenceOutcome(artifact, fw.spec, fw.truth);
+        if (taint) {
+            full.taint = taintOutcome(artifact, fw.spec, fw.truth,
+                                      config.budgets.taintMs);
+        }
+        return full;
+    };
     return map<FullOutcome>(
         corpus.size(),
         [&](std::size_t i) {
-            const auto analyzeWith =
-                [&](const core::PipelineConfig &config) {
-                    const core::FitsPipeline pipeline(config);
-                    const core::PipelineArtifact artifact =
-                        pipeline.analyze(corpus[i].bytes);
-                    FullOutcome full;
-                    full.inference = inferenceOutcome(
-                        artifact, corpus[i].spec, corpus[i].truth);
-                    full.taint = taintOutcome(
-                        artifact, corpus[i].spec, corpus[i].truth,
-                        config.budgets.taintMs);
-                    return full;
-                };
-            FullOutcome full = analyzeWith(taintPipelineConfig());
+            FullOutcome full = evaluate(corpus[i], pipeline);
             if (retryable(full.inference)) {
                 obs::addCounter("corpus.retries");
-                full = analyzeWith(degradedPipelineConfig());
+                full = evaluate(corpus[i], degraded);
                 full.inference.retried = true;
-                full.taint.retried = true;
+                full.taint.retried = taint;
             }
             return full;
         },

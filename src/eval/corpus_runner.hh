@@ -55,33 +55,27 @@ class CorpusRunner
     /** Resolved worker count actually used for fan-out. */
     std::size_t jobs() const { return jobs_; }
 
-    /** Inference outcomes for each sample, in corpus order. */
-    std::vector<InferenceOutcome>
-    runInference(const std::vector<synth::GeneratedFirmware> &corpus)
-        const;
-
-    /** Like runInference, but generates each firmware inside its
-     * worker — lower peak memory for large sweeps. */
-    std::vector<InferenceOutcome>
-    runInferenceOnSpecs(const std::vector<synth::SampleSpec> &specs)
-        const;
-
-    /** Table-5 taint outcomes for each sample, in corpus order. */
-    std::vector<TaintOutcome>
-    runTaint(const std::vector<synth::GeneratedFirmware> &corpus)
-        const;
-
-    /** Inference and taint outcomes derived from ONE shared
-     * per-sample pipeline artifact (the sample is unpacked, selected,
-     * and analyzed exactly once). */
+    /** Both halves of one sample's evaluation, derived from ONE
+     * shared pipeline artifact (the sample is unpacked, selected and
+     * analyzed exactly once). */
     struct FullOutcome
     {
         InferenceOutcome inference;
+        /** The four Table-5 engine configurations; left default
+         * unless run() was asked for taint. */
         TaintOutcome taint;
     };
 
+    /**
+     * Evaluate every sample, in corpus order: the inference outcome
+     * always, the taint outcome too when `taint` is set. A sample
+     * whose inference half failed transiently (timeout, injected
+     * fault) is re-analyzed once under a reduced UCSE budget, and
+     * both halves come from that second attempt.
+     */
     std::vector<FullOutcome>
-    runFull(const std::vector<synth::GeneratedFirmware> &corpus) const;
+    run(const std::vector<synth::GeneratedFirmware> &corpus,
+        bool taint) const;
 
     /**
      * Generic deterministic fan-out: results[i] = make(i), computed on
@@ -129,19 +123,6 @@ class CorpusRunner
     }
 
   private:
-    /** Reduced-budget pipeline config used for the one retry a
-     * transiently-failed sample gets. */
-    core::PipelineConfig degradedPipelineConfig() const;
-
-    /** Pipeline config for inference-only runs: behavior caching on
-     * when Config::cache allows it. */
-    core::PipelineConfig inferencePipelineConfig() const;
-
-    /** Pipeline config for runs that feed taint engines: behavior
-     * caching forced off, since a cache hit carries no analysis
-     * chain for the taint stage to reuse. */
-    core::PipelineConfig taintPipelineConfig() const;
-
     Config config_;
     std::size_t jobs_ = 1;
 };

@@ -122,15 +122,7 @@ runCorpusReport(const CorpusOptions &options)
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<CorpusRunner::FullOutcome> outcomes;
-    if (options.taint) {
-        outcomes = runner.runFull(corpus);
-    } else {
-        auto inference = runner.runInference(corpus);
-        outcomes.resize(inference.size());
-        for (std::size_t i = 0; i < inference.size(); ++i)
-            outcomes[i].inference = std::move(inference[i]);
-    }
+    const auto outcomes = runner.run(corpus, options.taint);
     report.wallMs = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
@@ -201,10 +193,10 @@ runCorpusReport(const CorpusOptions &options)
     std::size_t degraded = 0;
     std::size_t retried = 0;
     for (const auto &outcome : outcomes) {
-        const std::string &name = outcome.inference.spec.name.empty()
-                                      ? outcome.taint.spec.name
-                                      : outcome.inference.spec.name;
-        if (outcome.inference.retried || outcome.taint.retried)
+        // Both halves carry the sample's identity and retry flag; the
+        // taint half is retried only together with the inference half.
+        const std::string &name = outcome.inference.spec.name;
+        if (outcome.inference.retried)
             ++retried;
         if (outcome.inference.degraded ||
             (options.taint && outcome.taint.degraded)) {

@@ -5,20 +5,6 @@
 namespace fits::ml {
 
 Matrix
-maxAbsScale(const Matrix &m)
-{
-    const Vec maxes = columnAbsMax(m);
-    Matrix out = m;
-    for (auto &row : out) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (maxes[c] != 0.0)
-                row[c] /= maxes[c];
-        }
-    }
-    return out;
-}
-
-Matrix
 standardize(const Matrix &m)
 {
     const Vec mean = columnMean(m);

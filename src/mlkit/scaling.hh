@@ -8,14 +8,10 @@ namespace fits::ml {
 /**
  * Feature-scaling transforms. These implement the preprocessing
  * alternatives the paper compares the clustering stage against in
- * §4.5 (standardization, min-max normalization, PCA) — and the
- * per-column max normalization that Eq. (1) applies when computing
- * class complexity.
+ * §4.5 (standardization, min-max normalization, PCA). Eq. (1)'s
+ * per-column max normalization lives in core/infer.cc, on
+ * columnAbsMax.
  */
-
-/** Divide each column by its maximum absolute value (no-op on all-zero
- * columns). This is the normalization used in Eq. (1). */
-Matrix maxAbsScale(const Matrix &m);
 
 /** Z-score standardization per column (zero-stddev columns become 0). */
 Matrix standardize(const Matrix &m);

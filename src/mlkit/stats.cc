@@ -47,21 +47,4 @@ correlation(const std::vector<double> &xs, const std::vector<double> &ys)
     return cov / std::sqrt(vx * vy);
 }
 
-double
-linearSlope(const std::vector<double> &xs, const std::vector<double> &ys)
-{
-    if (xs.size() != ys.size() || xs.size() < 2)
-        return 0.0;
-    const double mx = mean(xs);
-    const double my = mean(ys);
-    double cov = 0.0, vx = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        cov += (xs[i] - mx) * (ys[i] - my);
-        vx += (xs[i] - mx) * (xs[i] - mx);
-    }
-    if (vx == 0.0)
-        return 0.0;
-    return cov / vx;
-}
-
 } // namespace fits::ml

@@ -16,10 +16,6 @@ double stddev(const std::vector<double> &xs);
 double correlation(const std::vector<double> &xs,
                    const std::vector<double> &ys);
 
-/** Least-squares slope of y over x; 0 for degenerate input. */
-double linearSlope(const std::vector<double> &xs,
-                   const std::vector<double> &ys);
-
 } // namespace fits::ml
 
 #endif // FITS_MLKIT_STATS_HH_

@@ -12,7 +12,6 @@ stageName(Stage stage)
       case Stage::Filesystem: return "filesystem";
       case Stage::Select:     return "select";
       case Stage::Lift:       return "lift";
-      case Stage::IrParse:    return "ir-parse";
       case Stage::Ucse:       return "ucse";
       case Stage::Flow:       return "flow";
       case Stage::Bfv:        return "bfv";

@@ -20,7 +20,6 @@ enum class Stage : std::uint8_t {
     Filesystem, ///< file-table / file-system structure
     Select,     ///< network-binary selection
     Lift,       ///< FBIN decode ("lifting") of a binary or library
-    IrParse,    ///< textual FIR parsing
     Ucse,       ///< under-constrained symbolic exploration
     Flow,       ///< reaching definitions / dataflow
     Bfv,        ///< behavior feature extraction

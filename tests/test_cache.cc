@@ -108,21 +108,25 @@ scoreBits(double score)
     return std::bit_cast<std::uint64_t>(score);
 }
 
+/** The inference halves of two corpus runs agree bit for bit. */
 void
-expectIdenticalOutcomes(const std::vector<eval::InferenceOutcome> &a,
-                        const std::vector<eval::InferenceOutcome> &b)
+expectIdenticalOutcomes(
+    const std::vector<eval::CorpusRunner::FullOutcome> &a,
+    const std::vector<eval::CorpusRunner::FullOutcome> &b)
 {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].ok, b[i].ok) << "sample " << i;
-        EXPECT_EQ(a[i].firstItsRank, b[i].firstItsRank);
-        ASSERT_EQ(a[i].ranking.size(), b[i].ranking.size());
-        for (std::size_t r = 0; r < a[i].ranking.size(); ++r) {
-            EXPECT_EQ(a[i].ranking[r].id, b[i].ranking[r].id);
-            EXPECT_EQ(a[i].ranking[r].entry, b[i].ranking[r].entry);
-            EXPECT_EQ(a[i].ranking[r].name, b[i].ranking[r].name);
-            EXPECT_EQ(scoreBits(a[i].ranking[r].score),
-                      scoreBits(b[i].ranking[r].score))
+        const auto &x = a[i].inference;
+        const auto &y = b[i].inference;
+        ASSERT_EQ(x.ok, y.ok) << "sample " << i;
+        EXPECT_EQ(x.firstItsRank, y.firstItsRank);
+        ASSERT_EQ(x.ranking.size(), y.ranking.size());
+        for (std::size_t r = 0; r < x.ranking.size(); ++r) {
+            EXPECT_EQ(x.ranking[r].id, y.ranking[r].id);
+            EXPECT_EQ(x.ranking[r].entry, y.ranking[r].entry);
+            EXPECT_EQ(x.ranking[r].name, y.ranking[r].name);
+            EXPECT_EQ(scoreBits(x.ranking[r].score),
+                      scoreBits(y.ranking[r].score))
                 << "sample " << i << " rank " << r;
         }
     }
@@ -392,13 +396,13 @@ TEST_F(CacheTest, OnlySharedLibrariesStayResident)
     config.jobs = 1;
     config.pipeline = cachingPipelineConfig();
     const eval::CorpusRunner runner(config);
-    (void)runner.runFull(smallCorpus(1));
+    (void)runner.run(smallCorpus(1), true);
     const std::uint64_t oneSample = cache::stats().bytes;
     ASSERT_GT(oneSample, 0u);
 
     cache::clearMemory();
     const auto corpus = smallCorpus(4);
-    const auto cached = runner.runFull(corpus);
+    const auto cached = runner.run(corpus, true);
     EXPECT_EQ(cache::stats().bytes, oneSample);
 
     cache::clearMemory();
@@ -415,7 +419,7 @@ TEST_F(CacheTest, OnlySharedLibrariesStayResident)
     eval::CorpusRunner::Config rawConfig;
     rawConfig.jobs = 1;
     rawConfig.cache = false;
-    const auto raw = eval::CorpusRunner(rawConfig).runFull(corpus);
+    const auto raw = eval::CorpusRunner(rawConfig).run(corpus, true);
     ASSERT_EQ(cached.size(), raw.size());
     for (std::size_t i = 0; i < cached.size(); ++i) {
         EXPECT_EQ(cached[i].inference.firstItsRank,
@@ -486,11 +490,11 @@ TEST_F(CacheTest, ColdAndWarmMemoryRankingsIdentical)
     config.pipeline = cachingPipelineConfig();
 
     const eval::CorpusRunner runner(config);
-    const auto cold = runner.runInference(corpus);
+    const auto cold = runner.run(corpus, false);
     const auto coldStats = cache::stats();
     EXPECT_GT(coldStats.misses, 0u);
 
-    const auto warm = runner.runInference(corpus);
+    const auto warm = runner.run(corpus, false);
     const auto warmStats = cache::stats();
     EXPECT_GT(warmStats.hits, coldStats.hits);
     expectIdenticalOutcomes(cold, warm);
@@ -504,7 +508,7 @@ TEST_F(CacheTest, ColdAndWarmMemoryRankingsIdentical)
     rawConfig.jobs = 1;
     rawConfig.cache = false;
     const eval::CorpusRunner raw(rawConfig);
-    expectIdenticalOutcomes(cold, raw.runInference(corpus));
+    expectIdenticalOutcomes(cold, raw.run(corpus, false));
 }
 
 TEST_F(CacheTest, SerialAndParallelRankingsIdentical)
@@ -517,15 +521,15 @@ TEST_F(CacheTest, SerialAndParallelRankingsIdentical)
     parallelConfig.jobs = 4;
 
     const auto serial =
-        eval::CorpusRunner(serialConfig).runInference(corpus);
+        eval::CorpusRunner(serialConfig).run(corpus, false);
     cache::clearMemory();
     const auto parallel =
-        eval::CorpusRunner(parallelConfig).runInference(corpus);
+        eval::CorpusRunner(parallelConfig).run(corpus, false);
     expectIdenticalOutcomes(serial, parallel);
 
     // Warm parallel run (workers race on a hot cache) agrees too.
     const auto warmParallel =
-        eval::CorpusRunner(parallelConfig).runInference(corpus);
+        eval::CorpusRunner(parallelConfig).run(corpus, false);
     expectIdenticalOutcomes(serial, warmParallel);
 }
 
@@ -535,7 +539,7 @@ TEST_F(CacheTest, RunFullWithCacheMatchesWithout)
     eval::CorpusRunner::Config config;
     config.jobs = 1;
     config.pipeline = cachingPipelineConfig();
-    const auto cached = eval::CorpusRunner(config).runFull(corpus);
+    const auto cached = eval::CorpusRunner(config).run(corpus, true);
 
     cache::Options off;
     off.memory = false;
@@ -544,7 +548,7 @@ TEST_F(CacheTest, RunFullWithCacheMatchesWithout)
     eval::CorpusRunner::Config rawConfig;
     rawConfig.jobs = 1;
     rawConfig.cache = false;
-    const auto raw = eval::CorpusRunner(rawConfig).runFull(corpus);
+    const auto raw = eval::CorpusRunner(rawConfig).run(corpus, true);
 
     ASSERT_EQ(cached.size(), raw.size());
     for (std::size_t i = 0; i < cached.size(); ++i) {
@@ -571,12 +575,12 @@ TEST_F(CacheTest, DiskTierSurvivesProcessMemoryLoss)
     config.pipeline = cachingPipelineConfig();
     const eval::CorpusRunner runner(config);
 
-    const auto cold = runner.runInference(corpus);
+    const auto cold = runner.run(corpus, false);
     // Dropping the library tier simulates a fresh process; the second
     // run must be served from disk, bit-identically.
     cache::clearMemory();
     cache::resetStats();
-    const auto warm = runner.runInference(corpus);
+    const auto warm = runner.run(corpus, false);
     const auto stats = cache::stats();
     EXPECT_GT(stats.diskHits, 0u);
     expectIdenticalOutcomes(cold, warm);
@@ -764,12 +768,12 @@ TEST_F(CacheTest, PipelineUnderCacheFaultsStillCorrect)
     config.jobs = 1;
     config.pipeline = cachingPipelineConfig();
     const eval::CorpusRunner runner(config);
-    const auto baseline = runner.runInference(corpus);
+    const auto baseline = runner.run(corpus, false);
 
     // Every cache access failing must not change a single score.
     ASSERT_TRUE(chaos::configure("cache.read,cache.write"));
     cache::clearMemory();
-    const auto faulted = runner.runInference(corpus);
+    const auto faulted = runner.run(corpus, false);
     expectIdenticalOutcomes(baseline, faulted);
 }
 

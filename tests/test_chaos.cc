@@ -24,7 +24,6 @@
 #include "eval/harness.hh"
 #include "firmware/fwimg.hh"
 #include "firmware/select.hh"
-#include "ir/parse.hh"
 #include "support/deadline.hh"
 #include "support/rng.hh"
 #include "synth/firmware_gen.hh"
@@ -221,8 +220,8 @@ TEST_F(ChaosTest, EveryPipelineSiteFiresAndIsHandled)
     const core::FitsPipeline pipeline;
     for (const auto &site : chaos::knownSites()) {
         const std::string name = site.name;
-        if (name.rfind("taint.", 0) == 0 || name == "ir.parse")
-            continue; // those paths are driven separately below
+        if (name.rfind("taint.", 0) == 0)
+            continue; // driven separately below
         if (name.rfind("cache.", 0) == 0)
             continue; // driven by test_cache.cc (needs a disk tier)
         for (std::uint64_t seed = 1; seed <= 5; ++seed) {
@@ -243,24 +242,6 @@ TEST_F(ChaosTest, EveryPipelineSiteFiresAndIsHandled)
                 EXPECT_FALSE(artifact.error.empty()) << name;
             }
         }
-    }
-}
-
-TEST_F(ChaosTest, IrParseSiteFailsTextualParse)
-{
-    // The pipeline lifts binaries straight from FBIN statements; the
-    // ir.parse site guards the *textual* FIR parser, so it is driven
-    // here directly.
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        ASSERT_TRUE(chaos::configure(
-            "ir.parse:" + std::to_string(seed)));
-        const auto parsed =
-            ir::parseFunction("func f 0x1000 tmps 0 {\n}\n");
-        ASSERT_FALSE(parsed) << "seed " << seed;
-        EXPECT_EQ(parsed.status().code(),
-                  support::ErrorCode::FaultInjected);
-        EXPECT_EQ(parsed.status().stage(), support::Stage::IrParse);
-        EXPECT_GE(chaos::fireCount("ir.parse"), 1u);
     }
 }
 
@@ -328,11 +309,46 @@ TEST_F(ChaosTest, CorpusRunnerRetriesTransientFaultOnce)
     config.jobs = 1;
     const eval::CorpusRunner runner(config);
     const std::vector<synth::GeneratedFirmware> corpus = {sampleFw()};
-    const auto outcomes = runner.runInference(corpus);
+    const auto outcomes = runner.run(corpus, false);
     ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
-    EXPECT_TRUE(outcomes[0].retried);
+    EXPECT_TRUE(outcomes[0].inference.ok) << outcomes[0].inference.error;
+    EXPECT_TRUE(outcomes[0].inference.retried);
     EXPECT_EQ(chaos::fireCount("unpack.magic"), 1u);
+}
+
+/** Run the one-sample corpus with taint under a single-shot fault at
+ * `site`: the retry rule must re-run both halves together. */
+void
+expectBothHalvesRetried(const std::string &site)
+{
+    ASSERT_TRUE(chaos::configure(site + "#1:1"));
+    eval::CorpusRunner::Config config;
+    config.jobs = 1;
+    const eval::CorpusRunner runner(config);
+    const std::vector<synth::GeneratedFirmware> corpus = {sampleFw()};
+    const auto outcomes = runner.run(corpus, true);
+    ASSERT_EQ(outcomes.size(), 1u);
+    const auto &full = outcomes[0];
+    EXPECT_TRUE(full.inference.ok) << full.inference.error;
+    EXPECT_TRUE(full.inference.retried);
+    EXPECT_TRUE(full.taint.ok) << full.taint.error;
+    EXPECT_TRUE(full.taint.retried);
+    EXPECT_EQ(chaos::fireCount(site), 1u);
+}
+
+TEST_F(ChaosTest, CorpusRunnerRetriesBothHalvesAfterUnpackFault)
+{
+    // Nothing to analyze on the first attempt: both halves fail, and
+    // the one retry recovers both.
+    expectBothHalvesRetried("unpack.magic");
+}
+
+TEST_F(ChaosTest, CorpusRunnerRetriesTaintWithInferenceAfterRankFault)
+{
+    // The first attempt has an analysis, so its taint half could have
+    // run; the inference half's transient failure still re-runs the
+    // sample, and the taint half comes from the retry.
+    expectBothHalvesRetried("infer.rank");
 }
 
 TEST_F(ChaosTest, DeterministicParseErrorsAreNotRetried)
@@ -347,12 +363,13 @@ TEST_F(ChaosTest, DeterministicParseErrorsAreNotRetried)
     config.jobs = 1;
     const eval::CorpusRunner runner(config);
     const auto outcomes =
-        runner.runInference({synth::generateFirmware(spec)});
+        runner.run({synth::generateFirmware(spec)}, false);
     ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_FALSE(outcomes[0].ok);
-    EXPECT_FALSE(outcomes[0].retried);
-    EXPECT_FALSE(outcomes[0].status.isTransient())
-        << outcomes[0].status.toString();
+    const auto &outcome = outcomes[0].inference;
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_FALSE(outcome.retried);
+    EXPECT_FALSE(outcome.status.isTransient())
+        << outcome.status.toString();
 }
 
 TEST_F(ChaosTest, DisarmedRunsAreIdentical)

@@ -140,22 +140,6 @@ TEST(Dbscan, EmptyInput)
     EXPECT_TRUE(r.labels.empty());
 }
 
-TEST(Scaling, MaxAbs)
-{
-    const Matrix out = maxAbsScale({{2, -10}, {4, 5}});
-    EXPECT_DOUBLE_EQ(out[0][0], 0.5);
-    EXPECT_DOUBLE_EQ(out[1][0], 1.0);
-    EXPECT_DOUBLE_EQ(out[0][1], -1.0);
-    EXPECT_DOUBLE_EQ(out[1][1], 0.5);
-}
-
-TEST(Scaling, MaxAbsZeroColumnUntouched)
-{
-    const Matrix out = maxAbsScale({{0, 1}, {0, 2}});
-    EXPECT_DOUBLE_EQ(out[0][0], 0.0);
-    EXPECT_DOUBLE_EQ(out[1][0], 0.0);
-}
-
 TEST(Scaling, Standardize)
 {
     const Matrix out = standardize({{1, 5}, {3, 5}});
@@ -221,12 +205,6 @@ TEST(Stats, Correlation)
     EXPECT_NEAR(correlation({1, 2, 3}, {30, 20, 10}), -1.0, 1e-12);
     EXPECT_DOUBLE_EQ(correlation({1, 2}, {1}), 0.0); // size mismatch
     EXPECT_DOUBLE_EQ(correlation({1, 1}, {2, 3}), 0.0); // no variance
-}
-
-TEST(Stats, LinearSlope)
-{
-    EXPECT_NEAR(linearSlope({0, 1, 2}, {1, 3, 5}), 2.0, 1e-12);
-    EXPECT_DOUBLE_EQ(linearSlope({1, 1}, {2, 3}), 0.0);
 }
 
 } // namespace

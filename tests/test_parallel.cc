@@ -119,13 +119,14 @@ expectIdenticalInference(const eval::InferenceOutcome &a,
 TEST(CorpusRunner, ParallelInferenceMatchesSerialOnStandardCorpus)
 {
     const auto corpus = synth::generateStandardCorpus();
-    const auto serial = runnerWithJobs(1).runInference(corpus);
-    const auto parallel = runnerWithJobs(4).runInference(corpus);
+    const auto serial = runnerWithJobs(1).run(corpus, false);
+    const auto parallel = runnerWithJobs(4).run(corpus, false);
     ASSERT_EQ(serial.size(), corpus.size());
     ASSERT_EQ(parallel.size(), corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         SCOPED_TRACE(corpus[i].spec.name);
-        expectIdenticalInference(serial[i], parallel[i]);
+        expectIdenticalInference(serial[i].inference,
+                                 parallel[i].inference);
     }
 }
 
@@ -186,57 +187,67 @@ miniCorpus()
     return corpus;
 }
 
+/** The serial reference: eval::runTaint on each sample in turn. */
+std::vector<eval::TaintOutcome>
+serialTaint(const std::vector<synth::GeneratedFirmware> &corpus)
+{
+    std::vector<eval::TaintOutcome> outcomes;
+    for (const auto &fw : corpus)
+        outcomes.push_back(eval::runTaint(fw));
+    return outcomes;
+}
+
 TEST(CorpusRunner, ParallelTaintMatchesSerial)
 {
     const auto corpus = miniCorpus();
-    const auto serial = runnerWithJobs(1).runTaint(corpus);
-    const auto parallel = runnerWithJobs(4).runTaint(corpus);
-    ASSERT_EQ(serial.size(), corpus.size());
+    const auto serial = serialTaint(corpus);
+    const auto parallel = runnerWithJobs(4).run(corpus, true);
+    ASSERT_EQ(parallel.size(), corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         SCOPED_TRACE(corpus[i].spec.name);
-        expectIdenticalTaint(serial[i], parallel[i]);
+        expectIdenticalTaint(serial[i], parallel[i].taint);
     }
     // The broken sample failed alone; the rest analyzed fine.
-    EXPECT_FALSE(parallel.back().ok);
+    EXPECT_FALSE(parallel.back().taint.ok);
     for (std::size_t i = 0; i + 1 < corpus.size(); ++i)
-        EXPECT_TRUE(parallel[i].ok);
+        EXPECT_TRUE(parallel[i].taint.ok);
 }
 
 TEST(CorpusRunner, RunFullSharesOneAnalysisPerSample)
 {
+    // One run with taint carries the same inference half as a run
+    // without it, and the same taint half as the serial eval::runTaint.
     const auto corpus = miniCorpus();
     const auto runner = runnerWithJobs(3);
-    const auto full = runner.runFull(corpus);
-    const auto inference = runner.runInference(corpus);
-    const auto taint = runner.runTaint(corpus);
+    const auto full = runner.run(corpus, true);
+    const auto inference = runner.run(corpus, false);
+    const auto taint = serialTaint(corpus);
     ASSERT_EQ(full.size(), corpus.size());
+    ASSERT_EQ(inference.size(), corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         SCOPED_TRACE(corpus[i].spec.name);
-        expectIdenticalInference(full[i].inference, inference[i]);
+        expectIdenticalInference(full[i].inference,
+                                 inference[i].inference);
         expectIdenticalTaint(full[i].taint, taint[i]);
     }
 }
 
 TEST(CorpusRunner, TaintOutcomesCarrySampleIdentityEvenOnFailure)
 {
-    // Regression: the runTaint/runFull failure paths used to discard
-    // the sample index, so an errored TaintOutcome could not be traced
-    // back to the sample that produced it.
+    // Regression: the corpus failure paths used to discard the sample
+    // index, so an errored TaintOutcome could not be traced back to
+    // the sample that produced it.
     const auto corpus = miniCorpus();
     const auto runner = runnerWithJobs(2);
-    const auto taint = runner.runTaint(corpus);
-    ASSERT_EQ(taint.size(), corpus.size());
-    for (std::size_t i = 0; i < corpus.size(); ++i)
-        EXPECT_EQ(taint[i].spec.name, corpus[i].spec.name);
-    EXPECT_FALSE(taint.back().ok); // the broken sample still failed
-    EXPECT_FALSE(taint.back().spec.name.empty());
-
-    const auto full = runner.runFull(corpus);
+    const auto full = runner.run(corpus, true);
     ASSERT_EQ(full.size(), corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         EXPECT_EQ(full[i].taint.spec.name, corpus[i].spec.name);
         EXPECT_EQ(full[i].inference.spec.name, corpus[i].spec.name);
     }
+    // The broken sample still failed, and still says which it was.
+    EXPECT_FALSE(full.back().taint.ok);
+    EXPECT_FALSE(full.back().taint.spec.name.empty());
 }
 
 TEST(CorpusRunner, ThrowingTaskFailsOnlyItsOwnSample)
