@@ -10,12 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "analysis/program_analysis.hh"
-#include "core/behavior.hh"
-#include "core/infer.hh"
-#include "eval/harness.hh"
-#include "firmware/fwimg.hh"
-#include "firmware/select.hh"
+#include "core/pipeline.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
 #include "taint/karonte.hh"
@@ -73,36 +68,26 @@ main()
                 spec.profile.vendor.c_str(), spec.name.c_str(),
                 firmware.bytes.size());
 
-    // Stage 1: unpack and pick the network-facing binary.
-    auto unpacked = fw::unpackFirmware(firmware.bytes);
-    if (!unpacked) {
-        std::printf("unpack failed: %s\n",
-                    unpacked.errorMessage().c_str());
-        return 1;
-    }
-    auto target = fw::selectAnalysisTarget(unpacked.value().filesystem);
-    if (!target) {
-        std::printf("selection failed: %s\n",
-                    target.errorMessage().c_str());
+    // Stages 1-3: unpack, pick the network-facing binary, analyze it
+    // once, and rank ITS candidates on that analysis.
+    const core::FitsPipeline pipeline;
+    const auto artifact = pipeline.analyze(firmware.bytes);
+    if (!artifact.hasAnalysis()) {
+        const bool unpack = artifact.failureStage ==
+                            core::PipelineArtifact::FailureStage::Unpack;
+        std::printf("%s failed: %s\n", unpack ? "unpack" : "selection",
+                    artifact.error.c_str());
         return 1;
     }
     std::printf("network binary: %s (%zu functions), libraries: %zu\n",
-                target.value().main->name.c_str(),
-                target.value().main->program.size(),
-                target.value().libraries.size());
-
-    // Stage 2+3: one shared whole-program analysis; FITS ranking.
-    const analysis::LinkedProgram linked(*target.value().main,
-                                         target.value().libraries);
-    const auto pa = analysis::ProgramAnalysis::analyze(linked);
-    const core::BehaviorAnalyzer analyzer;
-    const auto behavior = analyzer.analyze(pa);
-    const auto inference = core::inferIts(behavior);
-    if (!inference.ok()) {
-        std::printf("inference failed: %s\n",
-                    inference.error.c_str());
+                artifact.binaryName.c_str(), artifact.numFunctions,
+                artifact.target->libraries.size());
+    if (!artifact.ok) {
+        std::printf("inference failed: %s\n", artifact.error.c_str());
         return 1;
     }
+    const analysis::ProgramAnalysis &pa = *artifact.analysis;
+    const auto &inference = artifact.inference;
 
     std::printf("\nITS candidates (top 3):\n");
     std::vector<taint::TaintSource> its;

@@ -38,7 +38,7 @@ main()
 
     // 2. Run FITS end to end on the raw image bytes.
     const core::FitsPipeline pipeline;
-    const core::PipelineResult result = pipeline.run(firmware.bytes);
+    const core::PipelineArtifact result = pipeline.analyze(firmware.bytes);
     if (!result.ok) {
         std::printf("pipeline failed: %s\n", result.error.c_str());
         return 1;

@@ -42,7 +42,7 @@ struct BehaviorRepr
 };
 
 /**
- * Computes behavior representations for every function of a linked
+ * Computes behavior representations for every function of an analyzed
  * program, per Algorithm 1: UCSE-based CFG/CG construction, structural
  * analysis, reaching-definition analysis for the intraprocedural flow
  * features, and call-site analysis with Table-2 backtracking for the
@@ -61,11 +61,8 @@ class BehaviorAnalyzer
     BehaviorAnalyzer();
     explicit BehaviorAnalyzer(Config config);
 
-    /** Analyze from scratch (builds a ProgramAnalysis internally). */
-    BehaviorRepr analyze(const analysis::LinkedProgram &linked) const;
-
-    /** Extract BFVs from an existing whole-program analysis (shared
-     * with the taint engines to avoid re-analyzing the binary). */
+    /** Extract BFVs from a whole-program analysis (the one the taint
+     * engines share, so the binary is analyzed once). */
     BehaviorRepr analyze(const analysis::ProgramAnalysis &pa) const;
 
   private:

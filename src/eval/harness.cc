@@ -140,6 +140,18 @@ runTaint(const synth::GeneratedFirmware &fw,
                         config.budgets.taintMs);
 }
 
+bool
+noteDeadline(const taint::TaintReport &report, const std::string &engine,
+             std::vector<support::Status> &issues)
+{
+    if (!report.deadlineExpired)
+        return false;
+    issues.push_back(support::Status::error(
+        support::Stage::Taint, support::ErrorCode::Timeout,
+        engine + " stopped at the stage deadline"));
+    return true;
+}
+
 TaintOutcome
 taintOutcome(const core::PipelineArtifact &artifact,
              const synth::SampleSpec &spec,
@@ -192,12 +204,7 @@ taintOutcome(const core::PipelineArtifact &artifact,
     // flagged so aggregate tables can exclude or annotate it.
     const auto noteExpiry = [&outcome](const taint::TaintReport &report,
                                        const char *engine) {
-        if (!report.deadlineExpired)
-            return;
-        outcome.degraded = true;
-        outcome.issues.push_back(support::Status::error(
-            support::Stage::Taint, support::ErrorCode::Timeout,
-            std::string(engine) + " stopped at the stage deadline"));
+        outcome.degraded |= noteDeadline(report, engine, outcome.issues);
     };
 
     {

@@ -24,10 +24,10 @@ struct InferenceOutcome
     std::string error;
     /** Typed form of `error`; Ok when the pipeline passed. */
     support::Status status;
-    core::PipelineResult::FailureStage failureStage =
-        core::PipelineResult::FailureStage::None;
+    core::PipelineArtifact::FailureStage failureStage =
+        core::PipelineArtifact::FailureStage::None;
 
-    /** Partial result: see core::PipelineResult::degraded. */
+    /** Partial result: see core::PipelineArtifact::degraded. */
     bool degraded = false;
     std::vector<support::Status> issues;
     /** The corpus runner re-ran this sample once after a transient
@@ -144,6 +144,13 @@ TaintOutcome taintOutcome(const core::PipelineArtifact &artifact,
                           const synth::SampleSpec &spec,
                           const synth::GroundTruth &truth,
                           double taintBudgetMs = 0.0);
+
+/** When `report` stopped at its wall-clock budget, append
+ * "<engine> stopped at the stage deadline" to `issues` and return
+ * true. */
+bool noteDeadline(const taint::TaintReport &report,
+                  const std::string &engine,
+                  std::vector<support::Status> &issues);
 
 /** Score a taint report against ground truth. */
 EngineStats scoreReport(const std::vector<taint::Alert> &alerts,

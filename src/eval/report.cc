@@ -7,13 +7,11 @@
 #include <fstream>
 #include <iterator>
 
-#include "analysis/program_analysis.hh"
 #include "cache/cache.hh"
 #include "core/pipeline.hh"
 #include "eval/corpus_runner.hh"
+#include "eval/harness.hh"
 #include "eval/tables.hh"
-#include "firmware/fwimg.hh"
-#include "firmware/select.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
 #include "taint/karonte.hh"
@@ -201,19 +199,9 @@ runCorpusReport(const CorpusOptions &options)
         if (outcome.inference.degraded ||
             (options.taint && outcome.taint.degraded)) {
             ++degraded;
-            const auto &issues = outcome.inference.degraded
-                                     ? outcome.inference.issues
-                                     : outcome.taint.issues;
-            std::string why;
-            for (const auto &issue : issues) {
-                if (!why.empty())
-                    why += "; ";
-                why += issue.toString();
-            }
-            report.diagnostics += support::format(
-                "sample degraded: %s: %s\n",
-                name.empty() ? "<unnamed>" : name.c_str(),
-                why.empty() ? "partial result" : why.c_str());
+            report.diagnostics += renderDegraded(
+                name, outcome.inference.degraded ? outcome.inference.issues
+                                                 : outcome.taint.issues);
         }
         const bool bad = !outcome.inference.ok ||
                          (options.taint && !outcome.taint.ok);
@@ -236,6 +224,21 @@ runCorpusReport(const CorpusOptions &options)
             outcomes.size(), retried);
     }
     return report;
+}
+
+std::string
+renderDegraded(const std::string &name,
+               const std::vector<support::Status> &issues)
+{
+    std::string why;
+    for (const auto &issue : issues) {
+        if (!why.empty())
+            why += "; ";
+        why += issue.toString();
+    }
+    return support::format("sample degraded: %s: %s\n",
+                           name.empty() ? "<unnamed>" : name.c_str(),
+                           why.empty() ? "partial result" : why.c_str());
 }
 
 std::string
@@ -277,22 +280,23 @@ runRankReport(const std::vector<std::uint8_t> &bytes, std::size_t top,
     config.behaviorCache = true;
     config.infer.useSymbolNames = useSymbols;
 
-    const core::FitsPipeline pipeline(config);
-    const auto result = pipeline.run(bytes);
-    if (!result.ok) {
+    const auto artifact = core::FitsPipeline(config).analyze(bytes);
+    if (!artifact.ok) {
         report.error = support::format("pipeline failed: %s\n",
-                                       result.error.c_str());
+                                       artifact.error.c_str());
         return report;
     }
     report.ok = true;
+    report.degraded = artifact.degraded;
+    report.issues = artifact.issues;
     report.text += support::format(
         "analyzed %s: %zu functions in %.1f ms "
         "(%zu candidates after clustering)\n\n",
-        result.binaryName.c_str(), result.numFunctions,
-        result.timings.totalMs(), result.inference.numCandidates);
+        artifact.binaryName.c_str(), artifact.numFunctions,
+        artifact.timings.totalMs(), artifact.inference.numCandidates);
     for (std::size_t i = 0;
-         i < top && i < result.inference.ranking.size(); ++i) {
-        const auto &rf = result.inference.ranking[i];
+         i < top && i < artifact.inference.ranking.size(); ++i) {
+        const auto &rf = artifact.inference.ranking[i];
         report.text += support::format(
             "#%-3zu %-12s score %.4f%s%s\n", i + 1,
             support::hex(rf.entry).c_str(), rf.score,
@@ -307,36 +311,40 @@ runTaintReport(const std::vector<std::uint8_t> &bytes,
                const std::vector<std::uint64_t> &itsAddrs)
 {
     TextReport report;
-    auto unpacked = fw::unpackFirmware(bytes);
-    if (!unpacked) {
-        report.error =
-            support::format("unpack failed: %s\n",
-                            unpacked.errorMessage().c_str());
+    const core::FitsPipeline pipeline;
+    const auto artifact = pipeline.analyze(bytes);
+    // Only a stage-1 failure leaves nothing to run on: when inference
+    // alone failed, the engines still run on the analysis.
+    if (!artifact.hasAnalysis()) {
+        const bool unpack = artifact.failureStage ==
+                            core::PipelineArtifact::FailureStage::Unpack;
+        report.error = support::format(
+            "%s failed: %s\n", unpack ? "unpack" : "selection",
+            artifact.error.c_str());
         return report;
     }
-    auto target =
-        fw::selectAnalysisTarget(unpacked.value().filesystem);
-    if (!target) {
-        report.error =
-            support::format("selection failed: %s\n",
-                            target.errorMessage().c_str());
-        return report;
-    }
-    const analysis::LinkedProgram linked(*target.value().main,
-                                         target.value().libraries);
-    const auto pa = analysis::ProgramAnalysis::analyze(linked);
+    report.degraded = artifact.degraded;
+    report.issues = artifact.issues;
 
     auto sources = taint::classicalTaintSources();
     for (std::uint64_t addr : itsAddrs)
         sources.push_back(
             taint::TaintSource::its(addr, support::hex(addr)));
 
+    const double budgetMs = pipeline.config().budgets.taintMs;
     taint::TaintReport taintReport;
     if (engine == "sta") {
-        taintReport = taint::StaEngine().run(pa, sources);
+        taint::StaEngine::Config staConfig;
+        staConfig.deadlineMs = budgetMs;
+        taintReport =
+            taint::StaEngine(staConfig).run(*artifact.analysis, sources);
     } else {
-        taintReport = taint::KaronteEngine().run(pa, sources);
+        taint::KaronteEngine::Config karonteConfig;
+        karonteConfig.deadlineMs = budgetMs;
+        taintReport = taint::KaronteEngine(karonteConfig)
+                          .run(*artifact.analysis, sources);
     }
+    report.degraded |= noteDeadline(taintReport, engine, report.issues);
     const auto alerts = itsAddrs.empty()
                             ? taintReport.alerts
                             : taintReport.filteredAlerts();

@@ -7,11 +7,15 @@
 #include <string>
 #include <vector>
 
+#include "support/status.hh"
+
 namespace fits::eval {
 
 /**
  * Text-report layer behind the CLI's `fits corpus`, `fits rank` and
- * `fits taint`: one implementation renders the evaluation tables.
+ * `fits taint`: one implementation renders the evaluation tables. The
+ * single-image reports run FitsPipeline::analyze, so they see the same
+ * artifact, stage budgets and degraded issues as a corpus sample.
  *
  * Everything here is deterministic except wall-clock milliseconds,
  * which are reported as data (never baked into `text`) so callers can
@@ -78,12 +82,21 @@ std::string renderWallClock(double wallMs, std::size_t jobs);
  * cache counters, exactly as `fits corpus` prints it. */
 std::string renderCacheSummary();
 
+/** "sample degraded: NAME: ISSUE; ISSUE\n" — the stderr line for a
+ * partial result, as `fits corpus` prints it per sample. */
+std::string renderDegraded(const std::string &name,
+                           const std::vector<support::Status> &issues);
+
 /** Rendered outcome of a single-image report (rank / taint). */
 struct TextReport
 {
     bool ok = false;
     std::string error; ///< stderr diagnostic when !ok
     std::string text;  ///< stdout text when ok
+    /** The result is partial (see PipelineArtifact::degraded, or a
+     * taint engine stopped at its budget); `issues` says why. */
+    bool degraded = false;
+    std::vector<support::Status> issues;
 };
 
 /** `fits rank` body: run the pipeline on image bytes and render the
@@ -91,9 +104,11 @@ struct TextReport
 TextReport runRankReport(const std::vector<std::uint8_t> &bytes,
                          std::size_t top, bool useSymbols);
 
-/** `fits taint` body: run one engine ("sta" or "karonte") with the
- * classical sources plus the given ITS addresses and render the alert
- * list (ITS runs apply the system-data filter). */
+/** `fits taint` body: run one engine ("sta" or "karonte") on the
+ * pipeline's analysis, under the taint stage budget, with the
+ * classical sources plus the given ITS addresses, and render the alert
+ * list (ITS runs apply the system-data filter). The engine still runs
+ * when only inference failed. */
 TextReport runTaintReport(const std::vector<std::uint8_t> &bytes,
                           const std::string &engine,
                           const std::vector<std::uint64_t> &itsAddrs);

@@ -1,7 +1,6 @@
 #include "karonte.hh"
 
 #include <algorithm>
-#include <map>
 #include <span>
 #include <unordered_map>
 
@@ -9,7 +8,6 @@
 #include "chaos/chaos.hh"
 #include "obs/metrics.hh"
 #include "support/deadline.hh"
-#include "taint/labels.hh"
 #include "taint/site_table.hh"
 
 namespace fits::taint {
@@ -23,15 +21,6 @@ using ir::Addr;
 using ir::Operand;
 using ir::Stmt;
 using ir::StmtKind;
-
-using Mask = std::uint64_t;
-using CellKey = std::uint64_t;
-
-CellKey
-cellKey(std::size_t imageIdx, Addr addr)
-{
-    return (static_cast<CellKey>(imageIdx) << 48) | addr;
-}
 
 /**
  * Taint of constant-address memory cells: (cell, mask) pairs sorted by
@@ -151,15 +140,12 @@ struct Engine
     const ProgramAnalysis &pa;
     const KaronteEngine::Config &config;
     const std::vector<TaintSource> &sources;
-    LabelTable labelTable;
-
+    /** Labels, image indices, call-site roles and alerts. */
     SiteTable siteTable;
-    std::unordered_map<std::size_t, Mask> itsSiteLabel;
 
     /** Cross-root (phase-handoff) memory taint, monotone. */
     CellMap committedCells;
 
-    std::map<std::pair<std::size_t, Addr>, Alert> alerts;
     std::size_t totalSteps = 0;
     /** Paths pushed onto an exploration stack (branch and call-target
      * forks) — the path-explosion signal the metrics export. */
@@ -178,7 +164,7 @@ struct Engine
            const KaronteEngine::Config &config_,
            const std::vector<TaintSource> &sources_)
         : pa(pa_), config(config_), sources(sources_),
-          labelTable(buildLabelTable(sources)), siteTable(pa, sources)
+          siteTable(pa, sources)
     {
     }
 
@@ -186,58 +172,6 @@ struct Engine
     imageOf(FnId id) const
     {
         return siteTable.imageOf(id);
-    }
-
-    Mask
-    itsLabelAt(std::size_t siteIdx, std::size_t sourceIdx)
-    {
-        auto it = itsSiteLabel.find(siteIdx);
-        if (it != itsSiteLabel.end())
-            return it->second;
-        const auto &site = pa.callGraph.sites()[siteIdx];
-        const auto &callerFa = pa.fn(site.caller);
-        const auto tracker = callerFa.backtracker();
-        bool system = false;
-        for (std::uint64_t value :
-             tracker.resolveArg(site.blockIdx, site.stmtIdx, 0)) {
-            if (auto s = tracker.classifyString(value)) {
-                if (isSystemDataKey(s->text)) {
-                    system = true;
-                    break;
-                }
-            }
-        }
-        const auto &bits = labelTable.bySource[sourceIdx];
-        const Mask label = system && bits.systemBit != 0
-                               ? bits.systemBit
-                               : bits.userBit;
-        itsSiteLabel[siteIdx] = label;
-        return label;
-    }
-
-    void
-    recordAlert(FnId inFn, Addr sinkSite, const SinkSpec &sink,
-                Mask mask)
-    {
-        if (mask == 0)
-            return;
-        const auto key = std::make_pair(imageOf(inFn), sinkSite);
-        auto it = alerts.find(key);
-        if (it == alerts.end()) {
-            Alert alert;
-            alert.sinkSite = sinkSite;
-            alert.sinkName = sink.name;
-            alert.vclass = sink.vclass;
-            alert.labelMask = mask;
-            alert.inFunction = pa.linked->fn(inFn).fn->entry;
-            alert.imageIndex = key.first;
-            alert.hasUserDataLabel = labelTable.hasUserData(mask);
-            alerts.emplace(key, std::move(alert));
-        } else {
-            it->second.labelMask |= mask;
-            it->second.hasUserDataLabel =
-                labelTable.hasUserData(it->second.labelMask);
-        }
     }
 
     void
@@ -545,13 +479,14 @@ struct Engine
                         hit |= path.regs[arg].taint;
                 }
                 hit &= ~path.checkedMask;
-                recordAlert(caller, stmtAddr, *role.sink, hit);
+                siteTable.recordAlert(caller, stmtAddr, *role.sink, hit);
                 modeled = true;
             }
 
             if (role.cts != kNoSource) {
                 const TaintSource &src = sources[role.cts];
-                const Mask label = labelTable.bySource[role.cts].userBit;
+                const Mask label =
+                    siteTable.labels().bySource[role.cts].userBit;
                 if (src.origin == TaintSource::Origin::ReturnValue) {
                     retTaint |= label;
                 } else if (src.pointerArg >= 0 &&
@@ -581,7 +516,7 @@ struct Engine
                     // ITS source: apply the verified taint origin and
                     // do not descend — this is how ITSs shorten the
                     // explored path.
-                    retTaint |= itsLabelAt(siteIdx, role.its);
+                    retTaint |= siteTable.itsLabelAt(siteIdx, role.its);
                     modeled = true;
                     continue;
                 }
@@ -767,11 +702,7 @@ KaronteEngine::run(const ProgramAnalysis &pa,
     }
     runPhases();
 
-    TaintReport report;
-    report.labels = engine.labelTable.labels;
-    for (auto &[key, alert] : engine.alerts)
-        report.alerts.push_back(std::move(alert));
-    sortAlerts(report.alerts);
+    TaintReport report = engine.siteTable.takeReport();
     report.steps = engine.totalSteps;
     report.budgetExhausted = engine.budgetExhausted;
     report.deadlineExpired = engine.deadlineExpired;

@@ -22,7 +22,7 @@ isMemoryWriter(const std::string &name)
 
 SiteTable::SiteTable(const analysis::ProgramAnalysis &pa,
                      const std::vector<TaintSource> &sources)
-    : pa_(pa)
+    : pa_(pa), labels_(buildLabelTable(sources))
 {
     const std::size_t n = pa.linked->fnCount();
     fnImage_.resize(n);
@@ -64,6 +64,68 @@ SiteTable::resolve(std::size_t siteIdx, SiteRole &role) const
         if (auto it = itsByFn_.find(site.target.fn); it != itsByFn_.end())
             role.its = it->second;
     }
+}
+
+Mask
+SiteTable::itsLabelAt(std::size_t siteIdx, std::size_t sourceIdx)
+{
+    auto it = itsSiteLabel_.find(siteIdx);
+    if (it != itsSiteLabel_.end())
+        return it->second;
+
+    const auto &site = pa_.callGraph.sites()[siteIdx];
+    const auto tracker = pa_.fn(site.caller).backtracker();
+    bool system = false;
+    for (std::uint64_t value :
+         tracker.resolveArg(site.blockIdx, site.stmtIdx, 0)) {
+        if (auto s = tracker.classifyString(value)) {
+            if (isSystemDataKey(s->text)) {
+                system = true;
+                break;
+            }
+        }
+    }
+    const auto &bits = labels_.bySource[sourceIdx];
+    const Mask label =
+        system && bits.systemBit != 0 ? bits.systemBit : bits.userBit;
+    itsSiteLabel_[siteIdx] = label;
+    return label;
+}
+
+void
+SiteTable::recordAlert(analysis::FnId inFn, ir::Addr sinkSite,
+                       const SinkSpec &sink, Mask mask)
+{
+    if (mask == 0)
+        return;
+    const auto key = std::make_pair(imageOf(inFn), sinkSite);
+    auto it = alerts_.find(key);
+    if (it == alerts_.end()) {
+        Alert alert;
+        alert.sinkSite = sinkSite;
+        alert.sinkName = sink.name;
+        alert.vclass = sink.vclass;
+        alert.labelMask = mask;
+        alert.inFunction = pa_.linked->fn(inFn).fn->entry;
+        alert.imageIndex = key.first;
+        alert.hasUserDataLabel = labels_.hasUserData(mask);
+        alerts_.emplace(key, std::move(alert));
+    } else {
+        it->second.labelMask |= mask;
+        it->second.hasUserDataLabel =
+            labels_.hasUserData(it->second.labelMask);
+    }
+}
+
+TaintReport
+SiteTable::takeReport()
+{
+    TaintReport report;
+    report.labels = labels_.labels;
+    for (auto &[key, alert] : alerts_)
+        report.alerts.push_back(std::move(alert));
+    sortAlerts(report.alerts);
+    return report;
 }
 
 } // namespace fits::taint

@@ -1,13 +1,11 @@
 #include "sta.hh"
 
 #include <deque>
-#include <map>
 #include <unordered_map>
 
 #include "chaos/chaos.hh"
 #include "obs/metrics.hh"
 #include "support/deadline.hh"
-#include "taint/labels.hh"
 #include "taint/site_table.hh"
 
 namespace fits::taint {
@@ -20,18 +18,6 @@ using ir::Addr;
 using ir::Operand;
 using ir::Stmt;
 using ir::StmtKind;
-
-using Mask = std::uint64_t;
-
-/** Memory cells are keyed per image so overlapping address spaces of
- * the main binary and its libraries do not alias. */
-using CellKey = std::uint64_t;
-
-CellKey
-cellKey(std::size_t imageIdx, Addr addr)
-{
-    return (static_cast<CellKey>(imageIdx) << 48) | addr;
-}
 
 /** Whether STA follows a call site into its callee's summaries:
  * direct calls that resolve to a function of the caller's own image
@@ -69,29 +55,23 @@ struct Engine
 {
     const ProgramAnalysis &pa;
     const std::vector<TaintSource> &sources;
-    LabelTable labelTable;
-
     std::vector<FnState> fnStates;
     std::unordered_map<CellKey, Mask> globalCells;
     Mask globalUnknown = 0;
 
-    /** Image index per function (for cell keys) and call-site roles. */
+    /** Labels, image indices, call-site roles and alerts. */
     SiteTable siteTable;
-
-    /** ITS call-site label cache: site index -> seed bit. */
-    std::unordered_map<std::size_t, Mask> itsSiteLabel;
 
     /** The fixpoint worklist; queued[id] is true while id is on it. */
     std::deque<FnId> worklist;
     std::vector<bool> queued;
 
     std::size_t steps = 0;
-    std::map<std::pair<std::size_t, Addr>, Alert> alerts;
 
     explicit Engine(const ProgramAnalysis &pa_,
                     const std::vector<TaintSource> &sources_)
         : pa(pa_), sources(sources_),
-          labelTable(buildLabelTable(sources)), siteTable(pa, sources)
+          siteTable(pa, sources)
     {
         fnStates.resize(pa.linked->fnCount());
         queued.resize(pa.linked->fnCount(), false);
@@ -110,62 +90,6 @@ struct Engine
     imageOf(FnId id) const
     {
         return siteTable.imageOf(id);
-    }
-
-    /** Seed label for an ITS call site: user or system data depending
-     * on the key string the caller passes (resolved with the Table-2
-     * backtracker, as the paper's string matching does). */
-    Mask
-    itsLabelAt(std::size_t siteIdx, std::size_t sourceIdx)
-    {
-        auto it = itsSiteLabel.find(siteIdx);
-        if (it != itsSiteLabel.end())
-            return it->second;
-
-        const auto &site = pa.callGraph.sites()[siteIdx];
-        const auto &callerFa = pa.fn(site.caller);
-        const auto tracker = callerFa.backtracker();
-        bool system = false;
-        for (std::uint64_t value :
-             tracker.resolveArg(site.blockIdx, site.stmtIdx, 0)) {
-            if (auto s = tracker.classifyString(value)) {
-                if (isSystemDataKey(s->text)) {
-                    system = true;
-                    break;
-                }
-            }
-        }
-        const auto &bits = labelTable.bySource[sourceIdx];
-        const Mask label =
-            system && bits.systemBit != 0 ? bits.systemBit
-                                          : bits.userBit;
-        itsSiteLabel[siteIdx] = label;
-        return label;
-    }
-
-    void
-    recordAlert(FnId inFn, Addr sinkSite, const SinkSpec &sink,
-                Mask mask)
-    {
-        if (mask == 0)
-            return;
-        const auto key = std::make_pair(imageOf(inFn), sinkSite);
-        auto it = alerts.find(key);
-        if (it == alerts.end()) {
-            Alert alert;
-            alert.sinkSite = sinkSite;
-            alert.sinkName = sink.name;
-            alert.vclass = sink.vclass;
-            alert.labelMask = mask;
-            alert.inFunction = pa.linked->fn(inFn).fn->entry;
-            alert.imageIndex = key.first;
-            alert.hasUserDataLabel = labelTable.hasUserData(mask);
-            alerts.emplace(key, std::move(alert));
-        } else {
-            it->second.labelMask |= mask;
-            it->second.hasUserDataLabel =
-                labelTable.hasUserData(it->second.labelMask);
-        }
     }
 
     /**
@@ -354,13 +278,14 @@ struct Engine
                     if (arg >= 0 && arg < ir::kNumArgRegs)
                         hit |= regs[arg];
                 }
-                recordAlert(caller, stmtAddr, *role.sink, hit);
+                siteTable.recordAlert(caller, stmtAddr, *role.sink, hit);
             }
 
             // CTS seeding.
             if (role.cts != kNoSource) {
                 const TaintSource &src = sources[role.cts];
-                const Mask label = labelTable.bySource[role.cts].userBit;
+                const Mask label =
+                    siteTable.labels().bySource[role.cts].userBit;
                 if (src.origin == TaintSource::Origin::ReturnValue) {
                     retMask |= label;
                 } else {
@@ -412,7 +337,7 @@ struct Engine
                 // ITS seeding: the verified taint origin is the
                 // return register of the ITS.
                 if (role.its != kNoSource)
-                    retMask |= itsLabelAt(siteIdx, role.its);
+                    retMask |= siteTable.itsLabelAt(siteIdx, role.its);
             } else if (site.resolvesToFunction()) {
                 // Library function with an implementation: treat
                 // as a model (anchor semantics): taint flows from
@@ -570,11 +495,7 @@ runSta(const StaEngine::Config &config, const ProgramAnalysis &pa,
             engine.analyzeFunction(id, changed);
     }
 
-    TaintReport report;
-    report.labels = engine.labelTable.labels;
-    for (auto &[key, alert] : engine.alerts)
-        report.alerts.push_back(std::move(alert));
-    sortAlerts(report.alerts);
+    TaintReport report = engine.siteTable.takeReport();
     report.steps = engine.steps;
     report.budgetExhausted = exhausted;
     report.deadlineExpired = expired;

@@ -27,6 +27,9 @@ grep -q "$ITS" "$DIR/rank.out"
 
 "$FITS" taint "$IMG" --engine sta --its "$ITS" > "$DIR/taint.out"
 grep -q "alerts" "$DIR/taint.out"
+"$FITS" taint "$IMG" --engine karonte --its "$ITS" \
+    > "$DIR/taint_karonte.out"
+grep -q "^karonte: .* alerts" "$DIR/taint_karonte.out"
 
 "$FITS" disasm "$IMG" "$ITS" > "$DIR/disasm.out"
 grep -q "function" "$DIR/disasm.out"
@@ -34,6 +37,28 @@ grep -q "GET(r0)" "$DIR/disasm.out"
 
 "$FITS" score "$IMG" > "$DIR/score.out"
 grep -q "top-3 hit" "$DIR/score.out"
+
+# `fits score` ranks and taints one analysis: it explores exactly as
+# many UCSE steps as `fits rank` on the same image.
+ucse_steps() {
+    sed -n 's/.*"analysis\.ucse\.steps": \([0-9]*\).*/\1/p' "$1"
+}
+FITS_CACHE_DIR= FITS_METRICS="$DIR/rank_metrics.json" \
+    "$FITS" rank "$IMG" > /dev/null
+FITS_METRICS="$DIR/score_metrics.json" "$FITS" score "$IMG" > /dev/null
+RANK_STEPS=$(ucse_steps "$DIR/rank_metrics.json")
+SCORE_STEPS=$(ucse_steps "$DIR/score_metrics.json")
+test "${RANK_STEPS:-0}" -gt 0
+test "$RANK_STEPS" = "$SCORE_STEPS" || {
+    echo "score explored $SCORE_STEPS UCSE steps, rank $RANK_STEPS" >&2
+    exit 1
+}
+
+# A single-image report under an expired stage budget still prints its
+# ranking, and says on stderr why it is partial.
+FITS_CACHE_DIR= FITS_STAGE_TIMEOUT_MS=0.001 "$FITS" rank "$IMG" \
+    > "$DIR/rank_degraded.out" 2> "$DIR/rank_degraded.err"
+grep -q "sample degraded: .*cli_test.fwimg" "$DIR/rank_degraded.err"
 
 # Parallel corpus evaluation honors FITS_JOBS and reports totals.
 FITS_JOBS=2 "$FITS" corpus > "$DIR/corpus.out"

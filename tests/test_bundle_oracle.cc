@@ -81,7 +81,7 @@ corpusBundles()
                 .map<std::optional<core::BehaviorBundle>>(
                     corpus.size(),
                     [&](std::size_t i) {
-                        const auto result = pipeline.run(corpus[i].bytes);
+                        const auto result = pipeline.analyze(corpus[i].bytes);
                         std::optional<core::BehaviorBundle> bundle;
                         if (result.ok) {
                             bundle.emplace();

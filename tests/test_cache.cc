@@ -200,7 +200,7 @@ TEST_F(CacheTest, BundleRoundTripIsBitIdentical)
 {
     const auto corpus = smallCorpus(1);
     const core::FitsPipeline pipeline{core::PipelineConfig{}};
-    const auto result = pipeline.run(corpus[0].bytes);
+    const auto result = pipeline.analyze(corpus[0].bytes);
     ASSERT_TRUE(result.ok);
 
     core::BehaviorBundle bundle;
@@ -243,7 +243,7 @@ TEST_F(CacheTest, DecodeRejectsCorruptPayloads)
 {
     const auto corpus = smallCorpus(1);
     const core::FitsPipeline pipeline{core::PipelineConfig{}};
-    const auto result = pipeline.run(corpus[0].bytes);
+    const auto result = pipeline.analyze(corpus[0].bytes);
     ASSERT_TRUE(result.ok);
     core::BehaviorBundle bundle;
     bundle.behavior = result.behavior;
@@ -279,7 +279,7 @@ TEST_F(CacheTest, HostileBundleContentsDegradeToMiss)
     const auto corpus = smallCorpus(1);
     const core::PipelineConfig config = cachingPipelineConfig();
     const auto reference =
-        core::FitsPipeline{core::PipelineConfig{}}.run(corpus[0].bytes);
+        core::FitsPipeline{core::PipelineConfig{}}.analyze(corpus[0].bytes);
     ASSERT_TRUE(reference.ok);
 
     core::BehaviorBundle bundle;
@@ -313,7 +313,7 @@ TEST_F(CacheTest, HostileBundleContentsDegradeToMiss)
         cache::storeBlob("behavior", key1, key2, payload);
         cache::resetStats();
         const auto result =
-            core::FitsPipeline{config}.run(corpus[0].bytes);
+            core::FitsPipeline{config}.analyze(corpus[0].bytes);
         // The entry was read, rejected, and recomputed from scratch.
         EXPECT_EQ(cache::stats().diskHits, 1u) << "variant " << i;
         ASSERT_TRUE(result.ok) << "variant " << i;
@@ -654,7 +654,7 @@ TEST_F(CacheTest, FormatVersionSkewRecomputesAndRewritesAsV2)
     const auto corpus = smallCorpus(1);
     const core::PipelineConfig config = cachingPipelineConfig();
     const auto reference =
-        core::FitsPipeline{core::PipelineConfig{}}.run(corpus[0].bytes);
+        core::FitsPipeline{core::PipelineConfig{}}.analyze(corpus[0].bytes);
     ASSERT_TRUE(reference.ok);
     core::BehaviorBundle bundle;
     bundle.imageInfo = reference.imageInfo;
@@ -687,7 +687,7 @@ TEST_F(CacheTest, FormatVersionSkewRecomputesAndRewritesAsV2)
     }
 
     // The old entry is corrupt and a miss; the sample is recomputed.
-    const auto cold = core::FitsPipeline{config}.run(corpus[0].bytes);
+    const auto cold = core::FitsPipeline{config}.analyze(corpus[0].bytes);
     ASSERT_TRUE(cold.ok);
     EXPECT_EQ(cache::stats().diskCorrupt, 1u);
     EXPECT_EQ(cache::stats().diskMisses, 1u);
@@ -709,7 +709,7 @@ TEST_F(CacheTest, FormatVersionSkewRecomputesAndRewritesAsV2)
     // The next run is a disk hit with a bit-identical ranking.
     cache::clearMemory();
     cache::resetStats();
-    const auto warm = core::FitsPipeline{config}.run(corpus[0].bytes);
+    const auto warm = core::FitsPipeline{config}.analyze(corpus[0].bytes);
     ASSERT_TRUE(warm.ok);
     EXPECT_EQ(cache::stats().diskHits, 1u);
     EXPECT_EQ(cache::stats().diskCorrupt, 0u);

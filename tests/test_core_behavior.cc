@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/program_analysis.hh"
 #include "core/behavior.hh"
 #include "ir/builder.hh"
 
@@ -163,8 +164,8 @@ class BehaviorTest : public ::testing::Test
     {
         linked_ = std::make_unique<analysis::LinkedProgram>(
             world_.main, world_.libs);
-        const BehaviorAnalyzer analyzer;
-        repr_ = analyzer.analyze(*linked_);
+        const auto pa = analysis::ProgramAnalysis::analyze(*linked_);
+        repr_ = BehaviorAnalyzer().analyze(pa);
     }
 
     const FunctionRecord &

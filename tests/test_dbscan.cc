@@ -161,7 +161,7 @@ TEST(DbscanCorpus, EverySampleMatchesOracle)
     int compared = 0;
     for (const auto &spec : synth::standardDataset()) {
         const auto fw = synth::generateFirmware(spec);
-        const auto result = pipeline.run(fw.bytes);
+        const auto result = pipeline.analyze(fw.bytes);
         if (!result.ok)
             continue;
         const core::BehaviorRepr &repr = result.behavior;

@@ -36,11 +36,11 @@
 #include <string>
 #include <vector>
 
-#include "analysis/program_analysis.hh"
 #include "cache/cache.hh"
 #include "chaos/chaos.hh"
 #include "core/anchors.hh"
 #include "core/pipeline.hh"
+#include "eval/harness.hh"
 #include "eval/report.hh"
 #include "firmware/fwimg.hh"
 #include "firmware/select.hh"
@@ -48,7 +48,6 @@
 #include "obs/metrics.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
-#include "taint/karonte.hh"
 #include "taint/sta.hh"
 
 namespace {
@@ -148,6 +147,29 @@ writeFile(const std::string &path,
     out.write(reinterpret_cast<const char *>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
     return static_cast<bool>(out);
+}
+
+/** Print why a single-image result is partial, in the same
+ * "sample degraded:" form `fits corpus` uses. */
+void
+printDegraded(const std::string &path, bool degraded,
+              const std::vector<support::Status> &issues)
+{
+    if (degraded)
+        std::fputs(eval::renderDegraded(path, issues).c_str(), stderr);
+}
+
+/** Print a rank/taint report (or its error) and return the exit code. */
+int
+printReport(const std::string &path, const eval::TextReport &report)
+{
+    if (!report.ok) {
+        std::fputs(report.error.c_str(), stderr);
+        return 1;
+    }
+    printDegraded(path, report.degraded, report.issues);
+    std::fputs(report.text.c_str(), stdout);
+    return 0;
 }
 
 synth::VendorProfile
@@ -287,13 +309,7 @@ cmdRank(const std::string &path, int argc, char **argv)
     std::vector<std::uint8_t> bytes;
     if (!readImageArg(path, bytes))
         return 1;
-    const auto report = eval::runRankReport(bytes, top, useSymbols);
-    if (!report.ok) {
-        std::fputs(report.error.c_str(), stderr);
-        return 1;
-    }
-    std::fputs(report.text.c_str(), stdout);
-    return 0;
+    return printReport(path, eval::runRankReport(bytes, top, useSymbols));
 }
 
 int
@@ -318,13 +334,7 @@ cmdTaint(const std::string &path, int argc, char **argv)
     std::vector<std::uint8_t> bytes;
     if (!readImageArg(path, bytes))
         return 1;
-    const auto report = eval::runTaintReport(bytes, engine, itsAddrs);
-    if (!report.ok) {
-        std::fputs(report.error.c_str(), stderr);
-        return 1;
-    }
-    std::fputs(report.text.c_str(), stdout);
-    return 0;
+    return printReport(path, eval::runTaintReport(bytes, engine, itsAddrs));
 }
 
 int
@@ -355,10 +365,10 @@ cmdScore(const std::string &path)
     }
 
     const core::FitsPipeline pipeline;
-    const auto result = pipeline.run(bytes);
-    if (!result.ok) {
+    const auto artifact = pipeline.analyze(bytes);
+    if (!artifact.ok) {
         std::fprintf(stderr, "pipeline failed: %s\n",
-                     result.error.c_str());
+                     artifact.error.c_str());
         return 1;
     }
 
@@ -366,9 +376,9 @@ cmdScore(const std::string &path)
     int rank = -1;
     std::vector<taint::TaintSource> verified =
         taint::classicalTaintSources();
-    for (std::size_t i = 0; i < result.inference.ranking.size();
-         ++i) {
-        const ir::Addr entry = result.inference.ranking[i].entry;
+    const auto &ranking = artifact.inference.ranking;
+    for (std::size_t i = 0; i < ranking.size(); ++i) {
+        const ir::Addr entry = ranking[i].entry;
         const bool isIts =
             std::find(itsAddrs.begin(), itsAddrs.end(), entry) !=
             itsAddrs.end();
@@ -383,14 +393,16 @@ cmdScore(const std::string &path)
     std::printf("ITS rank: %d (top-3 %s)\n", rank,
                 rank >= 1 && rank <= 3 ? "hit" : "miss");
 
-    // Taint with the verified top-3 ITSs; score against the sidecar.
-    auto unpacked = fw::unpackFirmware(bytes);
-    auto target =
-        fw::selectAnalysisTarget(unpacked.value().filesystem);
-    const analysis::LinkedProgram linked(*target.value().main,
-                                         target.value().libraries);
-    const auto pa = analysis::ProgramAnalysis::analyze(linked);
-    const auto report = taint::StaEngine().run(pa, verified);
+    // Taint with the verified top-3 ITSs on the same analysis; score
+    // against the sidecar.
+    taint::StaEngine::Config staConfig;
+    staConfig.deadlineMs = pipeline.config().budgets.taintMs;
+    const auto report =
+        taint::StaEngine(staConfig).run(*artifact.analysis, verified);
+    auto issues = artifact.issues;
+    const bool degraded =
+        eval::noteDeadline(report, "sta", issues) || artifact.degraded;
+    printDegraded(path, degraded, issues);
     const auto alerts = report.filteredAlerts();
     std::size_t tp = 0, fp = 0;
     for (const auto &alert : alerts) {
